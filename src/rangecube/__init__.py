@@ -31,7 +31,6 @@ from .cube import (
     brute_force_range,
     build_prefix_cube,
     make_cube,
-    range_aggregate,
 )
 from .dynamic import (
     BlockPartition,
@@ -39,11 +38,6 @@ from .dynamic import (
     HybridCube,
     build_fenwick,
     build_hybrid,
-    fenwick_prefix_query,
-    fenwick_range_query,
-    fenwick_update,
-    hybrid_prefix_query,
-    hybrid_update,
 )
 from .formats import dump_cube_text, load_cube, parse_cube_text, save_cube
 from .medians import (

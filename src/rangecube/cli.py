@@ -306,7 +306,7 @@ def _run_dynamic(name, options, data_path, commands, oracle, out, stats):
             raise CliError(str(exc)) from None
     else:
         structure = FenwickCube(cube, op)
-    shadow = make_cube(cube.dims, cube.flat(), kind=cube.kind)
+    shadow = make_cube(cube.dims, cube.flat(), kind=cube.kind) if oracle else None
     for cmd in commands:
         if cmd.verb == "update":
             if len(cmd.args) != cube.ndim + 1:

@@ -32,7 +32,6 @@ __all__ = [
     "PrefixCube",
     "make_cube",
     "build_prefix_cube",
-    "range_aggregate",
     "brute_force_range",
 ]
 
@@ -247,6 +246,55 @@ def brute_force_range(cube: DataCube, box: QueryBox, op: AggregateOp):
     return acc
 
 
+def _check_table_domain(values: np.ndarray, op: AggregateOp, what: str) -> None:
+    """Reject a cube that ``op`` cannot give an exact, invertible table over."""
+    if not op.invertible:
+        raise ValueError(f"operator {op.name} has no inverse; {what} needs one")
+    if op.name == "xor" and values.dtype.kind != "i":
+        raise ValueError("xor needs an integer cube")
+    if op.name == "product" and np.any(values == 0):
+        raise ValueError(f"product {what} is undefined with zero cells")
+
+
+def _prefix_table(values: np.ndarray, op: AggregateOp) -> np.ndarray:
+    """Prefix aggregates of ``values``: one ``op`` accumulate per axis."""
+    for axis in range(values.ndim):
+        values = op.ufunc.accumulate(values, axis=axis)
+    return values
+
+
+#: For each dimensionality d, one (axes read at ``lo - 1``, enters with a plus
+#: sign) pair per box corner.
+_CORNERS = tuple(
+    tuple(
+        (tuple(bool(mask >> j & 1) for j in range(d)), bin(mask).count("1") % 2 == 0)
+        for mask in range(1 << d)
+    )
+    for d in range(MAX_DIMENSIONS + 1)
+)
+
+
+def _inclusion_exclusion(op: AggregateOp, lo: Sequence[int], hi: Sequence[int], lookup):
+    """Aggregate over the box ``[lo, hi]`` from its ``2**d`` prefix corners.
+
+    ``lookup(corner)`` returns the prefix aggregate ending at ``corner``; it is
+    called only for corners with no ``-1`` coordinate (an empty prefix, whose
+    value is the identity).  The even- and odd-parity corners are folded
+    separately and joined by one inverse, which keeps integer division exact
+    for product.
+    """
+    keep = drop = op.identity
+    for low, even in _CORNERS[len(lo)]:
+        corner = tuple(a - 1 if x else b for a, b, x in zip(lo, hi, low))
+        if -1 in corner:
+            continue
+        if even:
+            keep = op.combine(keep, lookup(corner))
+        else:
+            drop = op.combine(drop, lookup(corner))
+    return op.inverse(keep, drop)
+
+
 class PrefixCube:
     """Prefix-aggregate table answering box queries in ``2**d`` lookups.
 
@@ -257,51 +305,22 @@ class PrefixCube:
     """
 
     def __init__(self, cube: DataCube, op: AggregateOp):
-        if not op.invertible:
-            raise ValueError(f"operator {op.name} has no inverse; prefix cube needs one")
-        if op.name == "product" and np.any(cube.values == 0):
-            raise ValueError("product prefix cube is undefined with zero cells")
-        table = cube.values.copy()
-        for axis in range(cube.ndim):
-            table = op.ufunc.accumulate(table, axis=axis)
+        _check_table_domain(cube.values, op, "prefix cube")
         self.op = op
         self.dims = cube.dims
-        self.table = table
+        self.table = _prefix_table(cube.values, op)
         #: Prefix lookups made by the most recent range_aggregate call.
         self.lookups_last_query = 0
 
-    def _prefix(self, corner: tuple):
-        """Aggregate of the prefix subcube ending at ``corner`` (-1 = empty axis)."""
-        self.lookups_last_query += 1
-        if any(c < 0 for c in corner):
-            return self.op.identity
-        return self.table[corner].item()
-
     def range_aggregate(self, box: QueryBox):
         box.validate_for(self.dims)
-        self.lookups_last_query = 0
-        op = self.op
-        ndim = len(self.dims)
-        keep = op.identity
-        drop = op.identity
-        for mask in range(1 << ndim):
-            corner = tuple(
-                box.hi[j] if not mask >> j & 1 else box.lo[j] - 1 for j in range(ndim)
-            )
-            value = self._prefix(corner)
-            if bin(mask).count("1") % 2 == 0:
-                keep = op.combine(keep, value)
-            else:
-                drop = op.combine(drop, value)
-        # One inverse application keeps integer division exact for product.
-        return op.inverse(keep, drop)
+        table = self.table
+        value = _inclusion_exclusion(self.op, box.lo, box.hi, lambda c: table[c].item())
+        # Empty-prefix corners count as lookups too.
+        self.lookups_last_query = 1 << len(self.dims)
+        return value
 
 
 def build_prefix_cube(cube: DataCube, op: AggregateOp) -> PrefixCube:
     """Precompute prefix aggregates of ``cube`` for the invertible ``op``."""
     return PrefixCube(cube, op)
-
-
-def range_aggregate(pc: PrefixCube, box: QueryBox):
-    """Aggregate over ``box`` using inclusion-exclusion on the prefix table."""
-    return pc.range_aggregate(box)

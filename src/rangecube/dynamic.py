@@ -1,25 +1,30 @@
 """Dynamic prefix/range aggregates for invertible operators.
 
-Two structures over the same cube model:
+Both structures here are one table that is a product of one-dimensional
+schemes, one scheme per axis:
 
-* :class:`FenwickCube` — the multidimensional binary indexed tree; updates and
-  prefix queries touch at most ``prod(floor(log2 m[j]) + 1)`` cells.
+* :class:`FenwickCube` — the multidimensional binary indexed tree; every axis
+  is a Fenwick tree, so updates and prefix queries touch at most
+  ``prod(floor(log2 m[j]) + 1)`` cells.
 * :class:`HybridCube` — a two-level block partition with tunable parameters
   ``k`` (block size) and ``q`` (number of query-side dimensions).  Every
   dimension's axis is extended with one slot per block; the first ``q``
-  dimensions enumerate many cells at query time and only two per dimension at
-  update time, the remaining ``d - q`` dimensions do the opposite.  Updates
-  touch at most ``2**q * (k + ceil(n/k))**(d-q)`` cells and prefix queries at
-  most ``(k + ceil(n/k))**q * 2**(d-q)``, so ``k = ceil(sqrt(n))`` with
-  ``q = d // 2`` balances both.
+  (outer) dimensions enumerate many cells at query time and only two per
+  dimension at update time, the remaining ``d - q`` (inner) dimensions do the
+  opposite.  Updates touch at most ``2**q * (k + ceil(n/k))**(d-q)`` cells and
+  prefix queries at most ``(k + ceil(n/k))**q * 2**(d-q)``, so
+  ``k = ceil(sqrt(n))`` with ``q = d // 2`` balances both.
 
-Cell sets touched by either structure are Cartesian products of per-dimension
-index lists, so reads and writes go through single ``np.ix_`` fancy-index
-operations.  Both structures co-maintain a plain shadow copy of the
+The table is built by one numpy transform per axis.  An update or a prefix
+query asks each axis's scheme for an index list and touches the Cartesian
+product of those lists, so reads and writes go through single ``np.ix_``
+fancy-index operations.  Both structures co-maintain a plain shadow copy of the
 represented cube, which makes "set cell to u" derivable from "combine cell
 with delta" and provides cheap point reads.
 
 Min/max are not invertible and are rejected here; use the static structures.
+Product cubes must keep every cell nonzero: builds, updates and
+:meth:`set_value` that would store a zero are rejected.
 """
 
 from __future__ import annotations
@@ -29,25 +34,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cube import AggregateOp, DataCube, QueryBox
+from .cube import AggregateOp, DataCube, QueryBox, _check_table_domain, _inclusion_exclusion
 
 __all__ = [
     "FenwickCube",
     "HybridCube",
     "BlockPartition",
     "build_fenwick",
-    "fenwick_update",
-    "fenwick_prefix_query",
-    "fenwick_range_query",
     "build_hybrid",
-    "hybrid_update",
-    "hybrid_prefix_query",
 ]
-
-
-def _require_invertible(op: AggregateOp):
-    if not op.invertible:
-        raise ValueError(f"operator {op.name} has no inverse; dynamic structures need one")
 
 
 def _check_coords(coords, dims) -> tuple:
@@ -60,8 +55,113 @@ def _check_coords(coords, dims) -> tuple:
     return coords
 
 
-class _DynamicBase:
-    """Shared shadow-cube plumbing and inclusion-exclusion range queries."""
+class _FenwickAxis:
+    """One axis of a binary indexed tree over ``m`` entries."""
+
+    def __init__(self, m: int):
+        self.m = m
+
+    def build(self, table: np.ndarray, axis: int, op: AggregateOp) -> np.ndarray:
+        # Propagating each node into its parent once equals point-updating
+        # every entry into an identity-filled axis.
+        view = np.moveaxis(table, axis, 0)
+        for i in range(1, self.m + 1):
+            parent = i + (i & -i)
+            if parent <= self.m:
+                dst = view[parent - 1 : parent]
+                op.ufunc(dst, view[i - 1 : i], out=dst)
+        return table
+
+    def update_indices(self, c: int) -> list:
+        chain = []
+        i = c + 1
+        while i <= self.m:
+            chain.append(i - 1)
+            i += i & -i
+        return chain
+
+    def query_indices(self, c: int) -> list:
+        chain = []
+        i = c + 1
+        while i > 0:
+            chain.append(i - 1)
+            i &= i - 1
+        return chain
+
+
+class _BlockAxis:
+    """An axis of extent ``m`` cut into blocks of ``k`` entries and extended
+    by one slot per block (slot ``m + b`` belongs to block ``b``)."""
+
+    def __init__(self, m: int, k: int):
+        self.m = m
+        self.k = k
+        self.nblocks = -(-m // k)
+
+
+class _OuterAxis(_BlockAxis):
+    """Query-side axis: entries hold the cell itself, block slots the block total."""
+
+    def build(self, table: np.ndarray, axis: int, op: AggregateOp) -> np.ndarray:
+        totals = op.ufunc.reduceat(table, np.arange(0, self.m, self.k), axis=axis)
+        return np.concatenate([table, totals], axis=axis)
+
+    def update_indices(self, c: int) -> list:
+        # the entry itself and its containing block
+        return [c, self.m + c // self.k]
+
+    def query_indices(self, c: int) -> list:
+        # entries of c's block up to c, plus every earlier block
+        blk = c // self.k
+        return list(range(blk * self.k, c + 1)) + [self.m + b for b in range(blk)]
+
+
+class _InnerAxis(_BlockAxis):
+    """Update-side axis: entries hold the prefix from their block start, block
+    slots the exclusive prefix of all earlier blocks."""
+
+    def build(self, table: np.ndarray, axis: int, op: AggregateOp) -> np.ndarray:
+        starts = np.arange(0, self.m, self.k)
+        within = np.concatenate(
+            [op.ufunc.accumulate(part, axis=axis) for part in np.split(table, starts[1:], axis=axis)],
+            axis=axis,
+        )
+        # slot b holds blocks 0..b-1: identity, then running block totals
+        totals = np.take(within, starts[1:] - 1, axis=axis)
+        empty = np.full_like(np.take(within, [0], axis=axis), op.identity)
+        return np.concatenate([within, empty, op.ufunc.accumulate(totals, axis=axis)], axis=axis)
+
+    def update_indices(self, c: int) -> list:
+        # entries from c through its block end, then every later block
+        blk = c // self.k
+        end = min(self.m, (blk + 1) * self.k)
+        return list(range(c, end)) + [self.m + b for b in range(blk + 1, self.nblocks)]
+
+    def query_indices(self, c: int) -> list:
+        # the entry at c and the slot of c's block
+        return [c, self.m + c // self.k]
+
+
+class _AxisProductTable:
+    """One table that is the product of per-axis schemes, plus a shadow cube.
+
+    Subclasses pass one scheme per dimension; each scheme's ``build`` is that
+    axis's transform, and its ``update_indices``/``query_indices`` give the
+    axis positions an update or a prefix query touches.
+    """
+
+    def __init__(self, cube: DataCube, op: AggregateOp, schemes: tuple):
+        _check_table_domain(cube.values, op, type(self).__name__)
+        self.op = op
+        self.dims = cube.dims
+        self._schemes = schemes
+        table = cube.values.copy()
+        for axis, scheme in enumerate(schemes):
+            table = scheme.build(table, axis, op)
+        self.table = table
+        self.shadow = cube.values.copy()
+        self.cells_touched_last_update = 0
+        self.cells_touched_last_query = 0
 
     def point_read(self, coords):
         """Current value of one represented cell (served by the shadow)."""
@@ -72,6 +172,29 @@ class _DynamicBase:
         old = self.point_read(coords)
         self.update(coords, self.op.inverse(value, old))
 
+    def update(self, coords, delta):
+        """Combine the represented cell at ``coords`` with ``delta``."""
+        coords = _check_coords(coords, self.dims)
+        op = self.op
+        value = op.combine(self.shadow[coords].item(), delta)
+        if op.name == "product" and value == 0:
+            raise ValueError(f"product update would set cell {coords} to zero")
+        axes = [s.update_indices(c) for s, c in zip(self._schemes, coords)]
+        idx = np.ix_(*axes)
+        self.table[idx] = op.ufunc(self.table[idx], delta)
+        self.cells_touched_last_update = math.prod(len(a) for a in axes)
+        self.shadow[coords] = value
+
+    def prefix_query(self, b):
+        """Aggregate over the prefix box ``[0..b[0]] x ... x [0..b[d-1]]``."""
+        return self._prefix(_check_coords(b, self.dims))
+
+    def _prefix(self, b: tuple):
+        axes = [s.query_indices(c) for s, c in zip(self._schemes, b)]
+        block = self.table[np.ix_(*axes)]
+        self.cells_touched_last_query = block.size
+        return self.op.ufunc.reduce(block, axis=None).item()
+
     def range_query(self, box: QueryBox):
         """Aggregate over an arbitrary box via 2**d prefix queries.
 
@@ -79,92 +202,40 @@ class _DynamicBase:
         count of any one constituent prefix query.
         """
         box.validate_for(self.dims)
-        op = self.op
-        ndim = len(self.dims)
-        keep = op.identity
-        drop = op.identity
         touched = 0
-        for mask in range(1 << ndim):
-            corner = tuple(
-                box.hi[j] if not mask >> j & 1 else box.lo[j] - 1 for j in range(ndim)
-            )
-            if any(c < 0 for c in corner):
-                value = op.identity
-            else:
-                value = self.prefix_query(corner)
-                touched = max(touched, self.cells_touched_last_query)
-            if bin(mask).count("1") % 2 == 0:
-                keep = op.combine(keep, value)
-            else:
-                drop = op.combine(drop, value)
+
+        def lookup(corner):
+            nonlocal touched
+            value = self._prefix(corner)
+            touched = max(touched, self.cells_touched_last_query)
+            return value
+
+        value = _inclusion_exclusion(self.op, box.lo, box.hi, lookup)
         self.cells_touched_last_query = touched
-        return op.inverse(keep, drop)
+        return value
 
 
-class FenwickCube(_DynamicBase):
+class FenwickCube(_AxisProductTable):
     """Multidimensional binary indexed tree (Fenwick tree).
 
     The tree array has the cube's shape; internally indices are 1-based and a
     node at index ``i`` covers the ``i & -i`` trailing entries, independently
-    in every dimension.  Construction propagates each node into its parent
-    once per dimension, which is equivalent to point-updating every cell into
-    an identity-filled tree.
+    in every dimension.
     """
 
     def __init__(self, cube: DataCube, op: AggregateOp):
-        _require_invertible(op)
-        self.op = op
-        self.dims = cube.dims
-        tree = cube.values.copy()
-        for axis, m in enumerate(self.dims):
-            for i in range(1, m + 1):
-                parent = i + (i & -i)
-                if parent <= m:
-                    src = [slice(None)] * len(self.dims)
-                    dst = [slice(None)] * len(self.dims)
-                    src[axis] = i - 1
-                    dst[axis] = parent - 1
-                    tree[tuple(dst)] = op.ufunc(tree[tuple(dst)], tree[tuple(src)])
-        self.tree = tree
-        self.shadow = cube.values.copy()
-        self.cells_touched_last_update = 0
-        self.cells_touched_last_query = 0
+        schemes = tuple(_FenwickAxis(m) for m in cube.dims)
+        super().__init__(cube, op, schemes)
+
+    @property
+    def tree(self) -> np.ndarray:
+        """The Fenwick table (the same array as :attr:`table`)."""
+        return self.table
 
     @property
     def op_cell_bound(self) -> int:
         """Worst-case cells touched by one update or one prefix query."""
         return math.prod(m.bit_length() for m in self.dims)
-
-    def update(self, coords, delta):
-        """Combine the cell at ``coords`` with ``delta``."""
-        coords = _check_coords(coords, self.dims)
-        chains = []
-        for c, m in zip(coords, self.dims):
-            i = c + 1
-            chain = []
-            while i <= m:
-                chain.append(i - 1)
-                i += i & -i
-            chains.append(chain)
-        idx = np.ix_(*chains)
-        self.tree[idx] = self.op.ufunc(self.tree[idx], delta)
-        self.cells_touched_last_update = math.prod(len(c) for c in chains)
-        self.shadow[coords] = self.op.combine(self.shadow[coords].item(), delta)
-
-    def prefix_query(self, b):
-        """Aggregate over the prefix box ``[0..b[0]] x ... x [0..b[d-1]]``."""
-        b = _check_coords(b, self.dims)
-        chains = []
-        for c in b:
-            i = c + 1
-            chain = []
-            while i > 0:
-                chain.append(i - 1)
-                i &= i - 1
-            chains.append(chain)
-        block = self.tree[np.ix_(*chains)]
-        self.cells_touched_last_query = block.size
-        return self.op.ufunc.reduce(block, axis=None).item()
 
 
 class BlockPartition:
@@ -200,7 +271,7 @@ class BlockPartition:
         return range(0, block * self._k)
 
 
-class HybridCube(_DynamicBase):
+class HybridCube(_AxisProductTable):
     """Two-level block partition with a tunable update/query trade-off.
 
     ``q = d`` degenerates to constant-size updates with large queries,
@@ -216,7 +287,6 @@ class HybridCube(_DynamicBase):
         k: Optional[int] = None,
         q: Optional[int] = None,
     ):
-        _require_invertible(op)
         n = max(cube.dims)
         if k is None:
             k = math.isqrt(n - 1) + 1 if n > 1 else 1
@@ -226,22 +296,14 @@ class HybridCube(_DynamicBase):
             raise ValueError(f"block size k must be in [1, {n}], got {k}")
         if not 0 <= q <= cube.ndim:
             raise ValueError(f"split count q must be in [0, {cube.ndim}], got {q}")
-        self.op = op
-        self.dims = cube.dims
         self.k = int(k)
         self.q = int(q)
-        self.nblocks = tuple(-(-m // self.k) for m in self.dims)
-        shape = tuple(m + nb for m, nb in zip(self.dims, self.nblocks))
-        self.table = np.full(shape, op.identity, dtype=cube.values.dtype)
-        self.shadow = np.full(self.dims, op.identity, dtype=cube.values.dtype)
-        self.cells_touched_last_update = 0
-        self.cells_touched_last_query = 0
-        identity = op.identity
-        for coords in np.ndindex(*self.dims):
-            value = cube.values[coords].item()
-            if value != identity:
-                self.update(coords, value)
-        self.cells_touched_last_update = 0
+        schemes = tuple(
+            (_OuterAxis if j < self.q else _InnerAxis)(m, self.k)
+            for j, m in enumerate(cube.dims)
+        )
+        self.nblocks = tuple(s.nblocks for s in schemes)
+        super().__init__(cube, op, schemes)
 
     @property
     def update_cell_bound(self) -> int:
@@ -252,44 +314,6 @@ class HybridCube(_DynamicBase):
     def query_cell_bound(self) -> int:
         n = max(self.dims)
         return (self.k + -(-n // self.k)) ** self.q * 2 ** (len(self.dims) - self.q)
-
-    def _block(self, j: int, c: int) -> int:
-        return c // self.k
-
-    def update(self, coords, delta):
-        """Combine the represented cell at ``coords`` with ``delta``."""
-        coords = _check_coords(coords, self.dims)
-        axes = []
-        for j, (c, m, nb) in enumerate(zip(coords, self.dims, self.nblocks)):
-            blk = self._block(j, c)
-            if j < self.q:
-                # outer axis: the entry itself and its containing block
-                axes.append([c, m + blk])
-            else:
-                # inner axis: entries from c through its block end, then all
-                # later blocks
-                end = min(m, (blk + 1) * self.k)
-                axes.append(list(range(c, end)) + [m + b for b in range(blk + 1, nb)])
-        idx = np.ix_(*axes)
-        self.table[idx] = self.op.ufunc(self.table[idx], delta)
-        self.cells_touched_last_update = math.prod(len(a) for a in axes)
-        self.shadow[coords] = self.op.combine(self.shadow[coords].item(), delta)
-
-    def prefix_query(self, b):
-        """Aggregate over the prefix box ``[0..b[0]] x ... x [0..b[d-1]]``."""
-        b = _check_coords(b, self.dims)
-        axes = []
-        for j, (c, m) in enumerate(zip(b, self.dims)):
-            blk = self._block(j, c)
-            if j < self.q:
-                # outer axis: entries of b's block up to b, plus earlier blocks
-                axes.append(list(range(blk * self.k, c + 1)) + [m + x for x in range(blk)])
-            else:
-                # inner axis: the entry cell at b and the block cell at b's block
-                axes.append([c, m + blk])
-        block = self.table[np.ix_(*axes)]
-        self.cells_touched_last_query = block.size
-        return self.op.ufunc.reduce(block, axis=None).item()
 
     def partition(self, outer: Sequence[int]) -> BlockPartition:
         """The inner block partition stored for one outer axis-position tuple."""
@@ -314,25 +338,5 @@ def build_fenwick(cube: DataCube, op: AggregateOp) -> FenwickCube:
     return FenwickCube(cube, op)
 
 
-def fenwick_update(fc: FenwickCube, coords, delta) -> None:
-    fc.update(coords, delta)
-
-
-def fenwick_prefix_query(fc: FenwickCube, b):
-    return fc.prefix_query(b)
-
-
-def fenwick_range_query(fc: FenwickCube, box: QueryBox):
-    return fc.range_query(box)
-
-
 def build_hybrid(cube: DataCube, op: AggregateOp, k=None, q=None) -> HybridCube:
     return HybridCube(cube, op, k, q)
-
-
-def hybrid_update(hc: HybridCube, coords, delta) -> None:
-    hc.update(coords, delta)
-
-
-def hybrid_prefix_query(hc: HybridCube, b):
-    return hc.prefix_query(b)

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cube import DataCube, QueryBox
+from .cube import SUM, DataCube, QueryBox, _inclusion_exclusion, _prefix_table
 
 __all__ = [
     "WeightedPoints1D",
@@ -489,38 +489,21 @@ class CubeMedianIndex:
         )
         dtype = np.int64 if exact else np.float64
         values = cube.values.astype(dtype)
-        self.ps_cube = self._prefix(values)
+        self.ps_cube = _prefix_table(values, SUM)
         self.psd_cubes = []
         for j, scale in enumerate(scales):
             shape = [1] * cube.ndim
             shape[j] = cube.dims[j]
             factor = np.array(scale, dtype=dtype).reshape(shape)
-            self.psd_cubes.append(self._prefix(values * factor))
+            self.psd_cubes.append(_prefix_table(values * factor, SUM))
         self.rangesum_probes_last_query = 0
-
-    @staticmethod
-    def _prefix(values: np.ndarray) -> np.ndarray:
-        table = values.copy()
-        for axis in range(values.ndim):
-            table = np.cumsum(table, axis=axis)
-        return table
 
     def range_sum(self, table: np.ndarray, lo: Sequence[int], hi: Sequence[int]):
         """Inclusion-exclusion box sum over one prefix table (one probe)."""
         self.rangesum_probes_last_query += 1
         if any(a > b for a, b in zip(lo, hi)):
             return 0
-        ndim = len(self.dims)
-        total = 0
-        for mask in range(1 << ndim):
-            corner = tuple(
-                hi[j] if not mask >> j & 1 else lo[j] - 1 for j in range(ndim)
-            )
-            if any(c < 0 for c in corner):
-                continue
-            value = table[corner].item()
-            total += value if bin(mask).count("1") % 2 == 0 else -value
-        return total
+        return _inclusion_exclusion(SUM, lo, hi, lambda c: table[c].item())
 
 
 def build_cube_median_index(cube: DataCube, scales) -> CubeMedianIndex:

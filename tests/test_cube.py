@@ -118,6 +118,10 @@ class TestPrefixCube:
         with pytest.raises(ValueError, match="inverse"):
             build_prefix_cube(make_cube([2], [1, 2]), MIN)
 
+    def test_xor_float_cube_rejected(self):
+        with pytest.raises(ValueError, match="xor needs an integer cube"):
+            build_prefix_cube(make_cube([2], [1.0, 2.5]), XOR)
+
     def test_product_zero_cell_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             build_prefix_cube(make_cube([2], [1, 0]), PRODUCT)

@@ -3,11 +3,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rangecube import (
     MIN,
+    PRODUCT,
     QueryBox,
     SUM,
     XOR,
@@ -57,15 +59,6 @@ class TestFenwick:
         fc.update((0, 0), 2)
         assert fc.prefix_query((3, 3)) == 7
         assert fc.prefix_query((1, 3)) == 2
-
-    def test_build_equivalent_to_point_updates(self):
-        rng = random.Random(5)
-        cube = random_cube(rng)
-        direct = build_fenwick(cube, SUM)
-        incremental = build_fenwick(zero_cube(cube.dims), SUM)
-        for coords in QueryBox.full(cube.dims).coords():
-            incremental.update(coords, cube.cell(coords))
-        assert (direct.tree == incremental.tree).all()
 
     def test_range_query(self):
         fc = build_fenwick(make_cube([2, 2], [1, 2, 3, 4]), SUM)
@@ -210,7 +203,72 @@ class TestHybrid:
                 assert hc.cells_touched_last_query <= hc.query_cell_bound
 
 
+STRUCTURES = {"fenwick": build_fenwick, "hybrid": build_hybrid}
+
+
 class TestCrossStructure:
+    @pytest.mark.parametrize("op", [SUM, XOR], ids=["sum", "xor"])
+    @pytest.mark.parametrize(
+        "build, dims",
+        [
+            pytest.param(build_fenwick, (5, 3, 7), id="fenwick"),
+            pytest.param(build_fenwick, (1,), id="fenwick-1x"),
+            pytest.param(lambda c, op: build_hybrid(c, op, k=3, q=0), (7, 5), id="hybrid-q0"),
+            pytest.param(lambda c, op: build_hybrid(c, op, k=3, q=2), (7, 5), id="hybrid-qd"),
+            pytest.param(lambda c, op: build_hybrid(c, op, k=1, q=1), (4, 6), id="hybrid-k1"),
+            pytest.param(lambda c, op: build_hybrid(c, op, k=6, q=1), (6, 4), id="hybrid-kn"),
+            pytest.param(lambda c, op: build_hybrid(c, op, k=4, q=1), (10, 7, 5), id="hybrid-ragged"),
+            pytest.param(lambda c, op: build_hybrid(c, op, k=3, q=1), (7,), id="hybrid-1d"),
+        ],
+    )
+    def test_build_equivalent_to_point_updates(self, build, dims, op):
+        """The per-axis build equals point-updating every cell into an identity table."""
+        rng = random.Random(5)
+        cube = make_cube(dims, [rng.randint(-100, 100) for _ in range(math.prod(dims))])
+        direct = build(cube, op)
+        incremental = build(zero_cube(dims), op)
+        for coords in QueryBox.full(dims).coords():
+            incremental.update(coords, cube.cell(coords))
+        assert direct.table.shape == incremental.table.shape
+        assert (direct.table == incremental.table).all()
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    def test_float_build_close_to_point_updates(self, name):
+        """Float builds add in another order than point updates, so they agree
+        to the rounding bound eps * cells * sum(|value|), not bit for bit."""
+        build = STRUCTURES[name]
+        rng = random.Random(8)
+        dims = (10, 7, 5)
+        cube = make_cube(dims, [rng.uniform(-100, 100) for _ in range(math.prod(dims))])
+        direct = build(cube, SUM)
+        incremental = build(make_cube(dims, [0.0] * math.prod(dims)), SUM)
+        for coords in QueryBox.full(dims).coords():
+            incremental.update(coords, cube.cell(coords))
+        bound = np.finfo(np.float64).eps * cube.size * np.abs(cube.values).sum()
+        assert np.abs(direct.table - incremental.table).max() <= bound
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    def test_product_rejects_zero_cells(self, name):
+        build = STRUCTURES[name]
+        with pytest.raises(ValueError, match="zero"):
+            build(make_cube([4], [1.0, 0.0, 3.0, 4.0]), PRODUCT)
+        structure = build(make_cube([4], [1.0, 2.0, 3.0, 4.0]), PRODUCT)
+        before = structure.table.copy()
+        with pytest.raises(ValueError, match="zero"):
+            structure.update([1], 0.0)
+        with pytest.raises(ValueError, match="zero"):
+            structure.set_value([1], 0.0)
+        assert (structure.table == before).all()
+        assert structure.point_read([1]) == 2.0
+        assert structure.range_query(QueryBox([2], [3])) == 12.0
+        structure.set_value([1], 5.0)
+        assert structure.range_query(QueryBox([0], [3])) == 60.0
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    def test_xor_rejects_float_cube(self, name):
+        with pytest.raises(ValueError, match="xor needs an integer cube"):
+            STRUCTURES[name](make_cube([2], [1.0, 2.5]), XOR)
+
     def test_random_scripts_agree(self):
         """Fenwick, hybrid variants and a rebuilt prefix cube answer identically."""
         rng = random.Random(2718)
