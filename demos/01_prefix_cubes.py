@@ -8,11 +8,11 @@ table lookups, however large the slice.
 import random
 
 from rangecube import (
+    PrefixCube,
     QueryBox,
     SUM,
     XOR,
     brute_force_range,
-    build_prefix_cube,
     make_cube,
 )
 
@@ -25,7 +25,7 @@ sales = make_cube(
 )
 print(f"cube: {regions} regions x {months} months, {sales.size} cells")
 
-pc = build_prefix_cube(sales, SUM)
+pc = PrefixCube(sales, SUM)
 
 # Q2 sales of regions 1-3: one inclusion-exclusion query instead of a scan.
 box = QueryBox([1, 3], [3, 5])
@@ -39,13 +39,13 @@ print("matches the brute-force scan, cell for cell")
 
 # Any invertible operator works the same way; xor is its own inverse.
 tags = make_cube([4, 4], [rng.getrandbits(16) for _ in range(16)])
-xc = build_prefix_cube(tags, XOR)
+xc = PrefixCube(tags, XOR)
 box = QueryBox([0, 2], [3, 3])
 assert xc.range_aggregate(box) == brute_force_range(tags, box, XOR)
 print(f"xor over a 4x2 slice of checksums -> {xc.range_aggregate(box)}")
 
 # Every box over a 3-D cube still costs exactly 2**3 lookups.
 cube3 = make_cube([5, 5, 5], [rng.randint(-9, 9) for _ in range(125)])
-pc3 = build_prefix_cube(cube3, SUM)
+pc3 = PrefixCube(cube3, SUM)
 pc3.range_aggregate(QueryBox([1, 0, 2], [4, 3, 4]))
 print(f"3-D query -> {pc3.lookups_last_query} lookups (2^3)")

@@ -8,7 +8,7 @@ shape, and any box is covered by 2**d overlapping blocks.
 import random
 
 from rangecube import MAX, MIN, QueryBox, brute_force_range, make_cube
-from rangecube.rmq import DimensionGrouping, build_sparse_table, constrained_boxes
+from rangecube.rmq import DimensionGrouping, SparseTable, constrained_boxes
 
 rng = random.Random(11)
 
@@ -16,8 +16,8 @@ rng = random.Random(11)
 
 rows, cols = 8, 10
 latency = make_cube([rows, cols], [rng.randint(1, 999) for _ in range(rows * cols)])
-tmin = build_sparse_table(latency, mode="min")
-tmax = build_sparse_table(latency, mode="max")
+tmin = SparseTable(latency, mode="min")
+tmax = SparseTable(latency, mode="max")
 
 box = QueryBox([2, 1], [6, 8])
 lo = tmin.query(box)
@@ -34,7 +34,7 @@ assert hi == brute_force_range(latency, box, MAX)
 
 grouping = DimensionGrouping(group_of=[0, 0], base_dim=[0], stretch=[1, 2])
 grid = make_cube([8, 16], [rng.randint(0, 99) for _ in range(128)])
-table = build_sparse_table(grid, grouping)
+table = SparseTable(grid, grouping)
 
 count = 0
 for box in constrained_boxes(grid.dims, grouping):

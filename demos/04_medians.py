@@ -9,9 +9,9 @@ import random
 
 from rangecube import QueryBox, make_cube
 from rangecube.medians import (
+    CubeMedianIndex,
+    MedianIndex,
     WeightedPoints1D,
-    build_cube_median_index,
-    build_median_index,
     cube_range_weighted_median,
     hyperrect_1_median,
     interval_1_median,
@@ -45,7 +45,7 @@ print(f"best 10x6 rectangle has lower corner {rect.corner}, cost {rect.cost}")
 
 # -- range weighted median queries -------------------------------------------
 
-idx = build_median_index(pts)
+idx = MedianIndex(pts)
 r, cost = range_weighted_median(idx, 3, 9)
 print(f"\nmedian of points 3..9 is index {r} (x={xs[r]}), cost {cost}, "
       f"{idx.probes_last_query} probes")
@@ -54,6 +54,6 @@ print(f"\nmedian of points 3..9 is index {r} (x={xs[r]}), cost {cost}, "
 dims = [5, 5]
 grid = make_cube(dims, [rng.randint(0, 9) for _ in range(25)])
 scales = [sorted(rng.sample(range(100), 5)) for _ in dims]
-cidx = build_cube_median_index(grid, scales)
+cidx = CubeMedianIndex(grid, scales)
 res = cube_range_weighted_median(cidx, QueryBox([1, 0], [4, 3]))
 print(f"cube median of box (1..4)x(0..3) sits at {res.location}, cost {res.cost}")

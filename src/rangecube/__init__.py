@@ -29,23 +29,14 @@ from .cube import (
     SUM,
     XOR,
     brute_force_range,
-    build_prefix_cube,
     make_cube,
 )
-from .dynamic import (
-    BlockPartition,
-    FenwickCube,
-    HybridCube,
-    build_fenwick,
-    build_hybrid,
-)
+from .dynamic import BlockPartition, FenwickCube, HybridCube
 from .formats import dump_cube_text, load_cube, parse_cube_text, save_cube
 from .medians import (
     CubeMedianIndex,
     MedianIndex,
     WeightedPoints1D,
-    build_cube_median_index,
-    build_median_index,
     cube_range_weighted_median,
     hyperrect_1_median,
     interval_1_median,
@@ -53,13 +44,7 @@ from .medians import (
     interval_k_median_naive,
     range_weighted_median,
 )
-from .rmq import (
-    DimensionGrouping,
-    SparseTable,
-    build_sparse_table,
-    grouped_base_case,
-    rmq_query,
-)
+from .rmq import DimensionGrouping, SparseTable, grouped_base_case
 from .selection import (
     SelectionSplit,
     SortedWeightArrays,

@@ -20,11 +20,15 @@ Four commands:
   ``kmedian K L`` | ``select k [q]`` | ``agg-select k [q] [eps]``.
   With ``--oracle`` every answer is cross-checked against the brute-force
   reference (scan, naive DP or sort-all) and the first mismatch aborts.
+  Each structure is one ``_STRUCTURES`` entry (options, a build step, a
+  handler per verb) run by the one loop in :func:`run_script`.
 
 * ``bench`` — deterministic touched-cell statistics for hybrid parameter
   sweeps against the predicted bounds.
-* ``median CUBE SCALES lo1 hi1 [..]`` — one range weighted median query.
-* ``select ARRAYS --op .. --k ..`` — one selection.
+* ``median CUBE SCALES lo1 hi1 [..]`` — one range weighted median query (the
+  ``cube-median`` verb's code).
+* ``select ARRAYS --op .. --k ..`` — one selection (the ``select`` and
+  ``agg-select`` verbs' code).
 
 All coordinates are 0-based (add 1 to translate to the common 1-based
 conventions in the literature).  Exit code 0 iff no errors and, in oracle
@@ -38,6 +42,8 @@ import math
 import random
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from .cube import (
     MAX_DIMENSIONS,
@@ -53,9 +59,9 @@ from .cube import (
 from .dynamic import FenwickCube, HybridCube
 from .formats import load_cube, load_number_lines
 from .medians import (
+    CubeMedianIndex,
+    MedianIndex,
     WeightedPoints1D,
-    build_cube_median_index,
-    build_median_index,
     cube_range_weighted_median,
     interval_k_median,
     interval_k_median_naive,
@@ -85,66 +91,6 @@ def format_value(value) -> str:
     return str(value)
 
 
-# -- structure specs ---------------------------------------------------------
-
-_STRUCT_VERBS = {
-    "prefix": {"query", "prefix"},
-    "fenwick": {"query", "prefix", "update"},
-    "hybrid": {"query", "prefix", "update"},
-    "rmq": {"rmq"},
-    "median": {"median", "cube-median"},
-    "kmedian": {"kmedian"},
-    "select": {"select", "agg-select"},
-}
-
-_ALL_VERBS = set().union(*_STRUCT_VERBS.values())
-
-
-def parse_struct_spec(spec: str):
-    name, _, rest = spec.partition(":")
-    options = {}
-    if rest:
-        for item in rest.split(","):
-            key, eq, value = item.partition("=")
-            if not eq or not key:
-                raise CliError(f"malformed structure option {item!r} in {spec!r}")
-            options[key] = value
-    if name not in _STRUCT_VERBS:
-        raise CliError(
-            f"unknown structure {name!r}; expected one of {sorted(_STRUCT_VERBS)}"
-        )
-    return name, options
-
-
-def _pop_option(options, key, default=None, convert=str):
-    if key not in options:
-        return default
-    try:
-        return convert(options.pop(key))
-    except ValueError:
-        raise CliError(f"invalid value for structure option {key!r}") from None
-
-
-def _get_op(options, allowed=("sum", "xor", "product")):
-    name = _pop_option(options, "op", "sum")
-    if name not in allowed:
-        raise CliError(f"op must be one of {sorted(allowed)}, got {name!r}")
-    return OPS[name]
-
-
-def _check_cube_op(cube: DataCube, op):
-    if op.name == "sum" and cube.kind == "int":
-        peak = max((abs(v) for v in cube.flat()), default=0)
-        if peak * cube.size >= SUM_SAFE_BOUND:
-            raise CliError(
-                "overflow risk: |value| * cell count must stay below 2**62 for sum cubes"
-            )
-    if op.name == "xor" and cube.kind != "int":
-        raise CliError("xor needs an integer cube")
-    if op.name == "product" and cube.kind != "float":
-        raise CliError("product structures are only offered on float cubes")
-
-
 # -- scripts -----------------------------------------------------------------
 
 
@@ -172,25 +118,41 @@ def parse_script(text: str):
 
 def _ints(cmd: ScriptCommand, count: int):
     if len(cmd.args) != count:
-        raise CliError(
-            f"line {cmd.lineno}: {cmd.verb} expects {count} arguments, got {len(cmd.args)}"
-        )
+        raise ValueError(f"{cmd.verb} expects {count} arguments, got {len(cmd.args)}")
     try:
         return [int(a) for a in cmd.args]
     except ValueError:
-        raise CliError(f"line {cmd.lineno}: non-integer argument in {cmd.raw!r}") from None
+        raise ValueError(f"non-integer argument in {cmd.raw!r}") from None
 
 
-def _box(cmd: ScriptCommand, ndim: int) -> QueryBox:
-    coords = _ints(cmd, 2 * ndim)
-    try:
-        return QueryBox(coords[0::2], coords[1::2])
-    except ValueError as exc:
-        raise CliError(f"line {cmd.lineno}: {exc}") from None
+def _box(cmd: ScriptCommand, dims) -> QueryBox:
+    """The box a command names, checked against ``dims``: ``lo hi`` pairs, or
+    for the ``prefix`` verb the corner ``b`` of the prefix box ``[0, b]``."""
+    if cmd.verb == "prefix":
+        box = QueryBox([0] * len(dims), _ints(cmd, len(dims)))
+    else:
+        coords = _ints(cmd, 2 * len(dims))
+        box = QueryBox(coords[0::2], coords[1::2])
+    box.validate_for(dims)
+    return box
 
 
 def _number(token: str, kind: str):
     return int(token) if kind == "int" else float(token)
+
+
+class _Answer(NamedTuple):
+    """What a verb handler returns for one command."""
+
+    printed: tuple  # values of the output line; empty for an update
+    got: object  # the value the oracle checks
+    counter: object  # recorded under the verb's counter key (None: nothing)
+    expected: object = None  # the brute-force value, computed only under --oracle
+    tol: float = 0.0
+
+
+def _line(answer: _Answer) -> str:
+    return " ".join(map(format_value, answer.printed))
 
 
 class _Stats:
@@ -222,297 +184,346 @@ def _oracle_check(cmd: ScriptCommand, got, expected, tol: float = 0.0):
         )
 
 
+# -- structure options -------------------------------------------------------
+
+_TABLE_OPS = ("sum", "xor", "product")
+
+
+def _op_option(text):
+    name = "sum" if text is None else text
+    if name not in _TABLE_OPS:
+        raise CliError(f"op must be one of {sorted(_TABLE_OPS)}, got {name!r}")
+    return OPS[name]
+
+
+def _int_option(text):
+    return None if text is None else int(text)
+
+
+def _mode_option(text):
+    mode = "min" if text is None else text
+    if mode not in ("min", "max"):
+        raise CliError(f"rmq mode must be 'min' or 'max', got {mode!r}")
+    return mode
+
+
+def _scales_option(text):
+    if text is None:
+        raise CliError("this structure needs a scales=FILE option")
+    return text
+
+
+def _select_op_option(text):
+    return "sum" if text is None else text
+
+
+def _structure_options(spec: dict, options: dict) -> dict:
+    """Convert every option ``spec`` names (an absent one arrives as ``None``)
+    and reject the others."""
+    values = {}
+    for key, convert in spec.items():
+        try:
+            values[key] = convert(options.pop(key, None))
+        except ValueError:
+            raise CliError(f"invalid value for structure option {key!r}") from None
+    if options:
+        raise CliError(f"unknown structure options: {sorted(options)}")
+    return values
+
+
+def _check_cube_op(cube: DataCube, op):
+    if op.name == "sum" and cube.kind == "int":
+        # Python ints, so the peak of -2**63 is exact (np.abs would wrap).
+        peak = max(int(cube.values.max()), -int(cube.values.min()))
+        if peak * cube.size >= SUM_SAFE_BOUND:
+            raise CliError(
+                "overflow risk: |value| * cell count must stay below 2**62 for sum cubes"
+            )
+    if op.name == "product" and cube.kind != "float":
+        raise CliError("product structures are only offered on float cubes")
+
+
+# -- build steps -------------------------------------------------------------
+#
+# A build step takes the converted options, the data path and the oracle flag
+# and returns the state its verb handlers read.  It names ``load_cube``,
+# ``make_cube`` and the structure classes through this module's globals when
+# it runs, so rebinding those names here (as the benchmark's tracer does)
+# reaches every load and build.
+
+
+@dataclass
+class _BoxReads:
+    """A built box-read structure (prefix, Fenwick, hybrid or sparse table)."""
+
+    cube: DataCube
+    op: object  # the aggregate the oracle folds
+    read: Callable  # QueryBox -> answer
+    touched: Callable  # () -> lookups or cells of the last read
+    twin: object  # the cube the oracle scans (None for updatable ones without --oracle)
+    structure: object = None  # updatable structures: the one ``update`` goes to
+
+
+def _load_table_cube(data_path, op) -> DataCube:
+    cube = load_cube(data_path)
+    _check_cube_op(cube, op)
+    return cube
+
+
+def _build_prefix(o, data_path, oracle):
+    cube = _load_table_cube(data_path, o["op"])
+    pc = PrefixCube(cube, o["op"])
+    return _BoxReads(cube, o["op"], pc.range_aggregate, lambda: pc.lookups_last_query, cube)
+
+
+def _updatable(cube, op, structure, oracle):
+    # The oracle scans its own copy of the cube, updated in step with the structure.
+    twin = make_cube(cube.dims, cube.flat(), kind=cube.kind) if oracle else None
+    return _BoxReads(
+        cube, op, structure.range_query, lambda: structure.cells_touched_last_query, twin,
+        structure,
+    )
+
+
+def _build_fenwick(o, data_path, oracle):
+    cube = _load_table_cube(data_path, o["op"])
+    return _updatable(cube, o["op"], FenwickCube(cube, o["op"]), oracle)
+
+
+def _build_hybrid(o, data_path, oracle):
+    cube = _load_table_cube(data_path, o["op"])
+    return _updatable(cube, o["op"], HybridCube(cube, o["op"], o["k"], o["q"]), oracle)
+
+
+def _build_rmq(o, data_path, oracle):
+    cube = load_cube(data_path)
+    table = SparseTable(cube, mode=o["mode"])
+    return _BoxReads(cube, OPS[o["mode"]], table.query, lambda: table.lookups_last_query, cube)
+
+
+def _build_median(o, data_path, oracle):
+    cube = load_cube(data_path)
+    scales = load_number_lines(o["scales"])
+    index = CubeMedianIndex(cube, scales)
+    line = MedianIndex(WeightedPoints1D(scales[0], cube.flat())) if cube.ndim == 1 else None
+    return SimpleNamespace(cube=cube, index=index, line=line)
+
+
+def _build_kmedian(o, data_path, oracle) -> WeightedPoints1D:
+    cube = load_cube(data_path)
+    scales = load_number_lines(o["scales"])
+    if cube.ndim != 1:
+        raise CliError("this structure needs a 1-dimensional cube")
+    if len(scales) != 1 or len(scales[0]) != cube.dims[0]:
+        raise CliError("scales file must hold one coordinate per cube entry")
+    return WeightedPoints1D(scales[0], cube.flat())
+
+
+def _build_select(o, data_path, oracle):
+    arrays = SortedWeightArrays(load_number_lines(data_path), o["op"])
+    return SimpleNamespace(arrays=arrays, op=o["op"], weights=all_weights(arrays) if oracle else None)
+
+
+# -- verb handlers -----------------------------------------------------------
+#
+# A handler parses its command's arguments and returns an ``_Answer``.  It
+# raises ValueError/IndexError for bad input; the caller adds the line number.
+
+
+def _box_read(s: _BoxReads, cmd, oracle):
+    box = _box(cmd, s.cube.dims)
+    value = s.read(box)
+    expected = brute_force_range(s.twin, box, s.op) if oracle else None
+    return _Answer((value,), value, s.touched(), expected)
+
+
+def _box_update(s: _BoxReads, cmd, oracle):
+    d = s.cube.ndim
+    if len(cmd.args) != d + 1:
+        raise ValueError(f"update expects {d} coordinates and a delta")
+    try:
+        coords = tuple(int(a) for a in cmd.args[:d])
+        delta = _number(cmd.args[-1], s.cube.kind)
+    except ValueError:
+        raise ValueError(f"bad update arguments {cmd.raw!r}") from None
+    s.structure.update(coords, delta)
+    if oracle:
+        s.twin.values[coords] = s.op.combine(s.twin.values[coords].item(), delta)
+    return _Answer((), None, s.structure.cells_touched_last_update)
+
+
+def _median(s, cmd, oracle):
+    if s.line is None:
+        raise ValueError("the 'median' verb needs a 1-dimensional cube")
+    i, j = _ints(cmd, 2)
+    if not 0 <= i <= j < len(s.line):
+        raise ValueError(f"invalid position range [{i}, {j}]")
+    r, cost = range_weighted_median(s.line, i, j)
+    expected = None
+    if oracle:
+        xs, ws = s.line.points.xs, s.line.points.ws
+        expected = min(
+            sum(w * abs(x - xs[r2]) for x, w in zip(xs[i : j + 1], ws[i : j + 1]))
+            for r2 in range(i, j + 1)
+        )
+    return _Answer((r, cost), cost, s.line.probes_last_query, expected)
+
+
+def _cube_median(s, cmd, oracle):
+    box = _box(cmd, s.cube.dims)
+    res = cube_range_weighted_median(s.index, box)
+    expected = None
+    if oracle:
+        scales = s.index.scales
+        expected = min(
+            sum(
+                s.cube.cell(c)
+                * sum(abs(scales[j][c[j]] - scales[j][r[j]]) for j in range(s.cube.ndim))
+                for c in box.coords()
+            )
+            for r in box.coords()
+        )
+    return _Answer((*res.location, res.cost), res.cost, s.index.rangesum_probes_last_query, expected)
+
+
+def _kmedian(pts: WeightedPoints1D, cmd, oracle):
+    if len(cmd.args) != 2:
+        raise ValueError("kmedian expects K and L")
+    try:
+        count = int(cmd.args[0])
+        length = _number(cmd.args[1], "int" if "." not in cmd.args[1] else "float")
+    except ValueError:
+        raise ValueError(f"bad kmedian arguments {cmd.raw!r}") from None
+    res = interval_k_median(pts, count, length)
+    expected = float(interval_k_median_naive(pts, count, length)) if oracle else None
+    printed = (res.cost, *(x for interval in res.intervals for x in interval))
+    return _Answer(printed, float(res.cost), res.deque_pushes, expected, 1e-9)
+
+
+def _select(s, cmd, oracle):
+    agg = s.op if cmd.verb == "agg-select" else None
+    if not 1 <= len(cmd.args) <= (2 if agg is None else 3):
+        raise ValueError(f"bad {cmd.verb} arguments {cmd.raw!r}")
+    try:
+        k = int(cmd.args[0])
+        q = int(cmd.args[1]) if len(cmd.args) > 1 else None
+        eps = float(cmd.args[2]) if len(cmd.args) > 2 else 1e-6
+    except ValueError:
+        raise ValueError(f"bad {cmd.verb} arguments {cmd.raw!r}") from None
+    return _selection(s, agg, k, q, eps, oracle)
+
+
+def _selection(s, agg, k, q, eps, oracle):
+    """The k-th smallest weight, or with ``agg`` the ``agg`` aggregate of the k
+    smallest; split size ``q`` (None: the default, 0: ComputeP only)."""
+    if q is None:
+        q = choose_split_q(s.arrays)
+    split = build_split(s.arrays, q) if q else None
+    if agg is None:
+        value = kth_smallest(s.arrays, k, eps=eps, split=split)
+    else:
+        value = aggregate_k_smallest(s.arrays, agg, k, eps=eps, split=split)
+    expected = None
+    if oracle:
+        if agg is None:
+            expected = s.weights[k - 1]
+        else:
+            chunk = s.weights[:k]
+            expected = sum(chunk) if agg == "sum" else (
+                math.prod(chunk) if agg == "product" else max(chunk)
+            )
+    return _Answer((value,), value, None, expected, 0.0 if s.arrays.is_integer else 1e-9)
+
+
+# -- the structure table and the script loop ---------------------------------
+
+
+@dataclass(frozen=True)
+class _Structure:
+    options: dict  # option key -> converter of its text (None when absent)
+    build: Callable  # (options, data path, oracle) -> state for the handlers
+    verbs: dict  # verb -> (handler(state, cmd, oracle) -> _Answer, counter key)
+
+
+_DYNAMIC_VERBS = {
+    "query": (_box_read, "query_cells_max"),
+    "prefix": (_box_read, "query_cells_max"),
+    "update": (_box_update, "update_cells_max"),
+}
+
+_STRUCTURES = {
+    "prefix": _Structure(
+        {"op": _op_option},
+        _build_prefix,
+        {"query": (_box_read, "prefix_lookups_max"), "prefix": (_box_read, "prefix_lookups_max")},
+    ),
+    "fenwick": _Structure({"op": _op_option}, _build_fenwick, _DYNAMIC_VERBS),
+    "hybrid": _Structure(
+        {"op": _op_option, "k": _int_option, "q": _int_option}, _build_hybrid, _DYNAMIC_VERBS
+    ),
+    "rmq": _Structure({"mode": _mode_option}, _build_rmq, {"rmq": (_box_read, "rmq_lookups_max")}),
+    "median": _Structure(
+        {"scales": _scales_option},
+        _build_median,
+        {"median": (_median, "median_probes_max"), "cube-median": (_cube_median, "rangesum_probes_max")},
+    ),
+    "kmedian": _Structure(
+        {"scales": _scales_option}, _build_kmedian, {"kmedian": (_kmedian, "deque_pushes_max")}
+    ),
+    "select": _Structure(
+        {"op": _select_op_option}, _build_select, {"select": (_select, None), "agg-select": (_select, None)}
+    ),
+}
+
+_ALL_VERBS = {verb for entry in _STRUCTURES.values() for verb in entry.verbs}
+
+
+def parse_struct_spec(spec: str):
+    name, _, rest = spec.partition(":")
+    options = {}
+    if rest:
+        for item in rest.split(","):
+            key, eq, value = item.partition("=")
+            if not eq or not key:
+                raise CliError(f"malformed structure option {item!r} in {spec!r}")
+            options[key] = value
+    if name not in _STRUCTURES:
+        raise CliError(
+            f"unknown structure {name!r}; expected one of {sorted(_STRUCTURES)}"
+        )
+    return name, options
+
+
 def run_script(data_path, struct_spec: str, script_path, oracle: bool = False, out=None):
     """Execute a script against one structure; returns printed lines."""
     out = out if out is not None else []
     name, options = parse_struct_spec(struct_spec)
+    entry = _STRUCTURES[name]
     with open(script_path, "r", encoding="utf-8") as handle:
         commands = parse_script(handle.read())
-    unsupported = [c for c in commands if c.verb not in _STRUCT_VERBS[name]]
-    if unsupported:
-        first = unsupported[0]
-        raise CliError(
-            f"line {first.lineno}: unsupported verb {first.verb!r} for structure {name!r}"
-        )
-    runner = {
-        "prefix": _run_prefix,
-        "fenwick": _run_dynamic,
-        "hybrid": _run_dynamic,
-        "rmq": _run_rmq,
-        "median": _run_median,
-        "kmedian": _run_kmedian,
-        "select": _run_select,
-    }[name]
+    for cmd in commands:
+        if cmd.verb not in entry.verbs:
+            raise CliError(
+                f"line {cmd.lineno}: unsupported verb {cmd.verb!r} for structure {name!r}"
+            )
+    state = entry.build(_structure_options(entry.options, options), data_path, oracle)
     stats = _Stats()
-    runner(name, options, data_path, commands, oracle, out, stats)
+    for cmd in commands:
+        handler, counter = entry.verbs[cmd.verb]
+        try:
+            answer = handler(state, cmd, oracle)
+        except (ValueError, IndexError) as exc:
+            raise CliError(f"line {cmd.lineno}: {exc}") from None
+        stats.record(counter, answer.counter)
+        if cmd.verb == "update":
+            stats.updates += 1
+            continue
+        stats.queries += 1
+        if oracle:
+            _oracle_check(cmd, answer.got, answer.expected, answer.tol)
+        out.append(_line(answer))
     out.extend(stats.lines())
     return out
-
-
-def _reject_leftover(options):
-    if options:
-        raise CliError(f"unknown structure options: {sorted(options)}")
-
-
-def _run_prefix(name, options, data_path, commands, oracle, out, stats):
-    op = _get_op(options)
-    _reject_leftover(options)
-    cube = load_cube(data_path)
-    _check_cube_op(cube, op)
-    pc = PrefixCube(cube, op)
-    for cmd in commands:
-        if cmd.verb == "prefix":
-            b = _ints(cmd, cube.ndim)
-            box = _bounds_box(cmd, b, cube.dims)
-        else:
-            box = _box(cmd, cube.ndim)
-            _validate_box(cmd, box, cube.dims)
-        value = pc.range_aggregate(box)
-        stats.queries += 1
-        stats.record("prefix_lookups_max", pc.lookups_last_query)
-        if oracle:
-            _oracle_check(cmd, value, brute_force_range(cube, box, op))
-        out.append(format_value(value))
-
-
-def _bounds_box(cmd, b, dims) -> QueryBox:
-    try:
-        box = QueryBox([0] * len(dims), b)
-        box.validate_for(dims)
-    except (ValueError, IndexError) as exc:
-        raise CliError(f"line {cmd.lineno}: {exc}") from None
-    return box
-
-
-def _validate_box(cmd, box, dims):
-    try:
-        box.validate_for(dims)
-    except (ValueError, IndexError) as exc:
-        raise CliError(f"line {cmd.lineno}: {exc}") from None
-
-
-def _run_dynamic(name, options, data_path, commands, oracle, out, stats):
-    op = _get_op(options)
-    if name == "hybrid":
-        k = _pop_option(options, "k", None, int)
-        q = _pop_option(options, "q", None, int)
-    _reject_leftover(options)
-    cube = load_cube(data_path)
-    _check_cube_op(cube, op)
-    if name == "hybrid":
-        try:
-            structure = HybridCube(cube, op, k, q)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-    else:
-        structure = FenwickCube(cube, op)
-    shadow = make_cube(cube.dims, cube.flat(), kind=cube.kind) if oracle else None
-    for cmd in commands:
-        if cmd.verb == "update":
-            if len(cmd.args) != cube.ndim + 1:
-                raise CliError(
-                    f"line {cmd.lineno}: update expects {cube.ndim} coordinates and a delta"
-                )
-            try:
-                coords = [int(a) for a in cmd.args[: cube.ndim]]
-                delta = _number(cmd.args[-1], cube.kind)
-            except ValueError:
-                raise CliError(f"line {cmd.lineno}: bad update arguments {cmd.raw!r}") from None
-            try:
-                structure.update(coords, delta)
-            except (ValueError, IndexError) as exc:
-                raise CliError(f"line {cmd.lineno}: {exc}") from None
-            stats.updates += 1
-            stats.record("update_cells_max", structure.cells_touched_last_update)
-            if oracle:
-                shadow.values[tuple(coords)] = op.combine(
-                    shadow.values[tuple(coords)].item(), delta
-                )
-            continue
-        if cmd.verb == "prefix":
-            b = _ints(cmd, cube.ndim)
-            _bounds_box(cmd, b, cube.dims)
-            value = structure.prefix_query(b)
-            box = QueryBox([0] * cube.ndim, b)
-        else:
-            box = _box(cmd, cube.ndim)
-            _validate_box(cmd, box, cube.dims)
-            value = structure.range_query(box)
-        stats.queries += 1
-        stats.record("query_cells_max", structure.cells_touched_last_query)
-        if oracle:
-            _oracle_check(cmd, value, brute_force_range(shadow, box, op))
-        out.append(format_value(value))
-
-
-def _run_rmq(name, options, data_path, commands, oracle, out, stats):
-    mode = _pop_option(options, "mode", "min")
-    if mode not in ("min", "max"):
-        raise CliError(f"rmq mode must be 'min' or 'max', got {mode!r}")
-    _reject_leftover(options)
-    cube = load_cube(data_path)
-    table = SparseTable(cube, mode=mode)
-    op = OPS[mode]
-    for cmd in commands:
-        box = _box(cmd, cube.ndim)
-        _validate_box(cmd, box, cube.dims)
-        value = table.query(box)
-        stats.queries += 1
-        stats.record("rmq_lookups_max", table.lookups_last_query)
-        if oracle:
-            _oracle_check(cmd, value, brute_force_range(cube, box, op))
-        out.append(format_value(value))
-
-
-def _load_scaled_points(options, data_path, need_1d=False):
-    scales_path = _pop_option(options, "scales", None)
-    if scales_path is None:
-        raise CliError("this structure needs a scales=FILE option")
-    _reject_leftover(options)
-    cube = load_cube(data_path)
-    scales = load_number_lines(scales_path)
-    if need_1d and cube.ndim != 1:
-        raise CliError("this structure needs a 1-dimensional cube")
-    return cube, scales
-
-
-def _run_median(name, options, data_path, commands, oracle, out, stats):
-    cube, scales = _load_scaled_points(options, data_path)
-    try:
-        idx = build_cube_median_index(cube, scales)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    idx1 = None
-    if cube.ndim == 1:
-        idx1 = build_median_index(WeightedPoints1D(scales[0], cube.flat()))
-    for cmd in commands:
-        if cmd.verb == "median":
-            if idx1 is None:
-                raise CliError(
-                    f"line {cmd.lineno}: the 'median' verb needs a 1-dimensional cube"
-                )
-            i, j = _ints(cmd, 2)
-            if not 0 <= i <= j < len(idx1):
-                raise CliError(f"line {cmd.lineno}: invalid position range [{i}, {j}]")
-            r, cost = range_weighted_median(idx1, i, j)
-            stats.queries += 1
-            stats.record("median_probes_max", idx1.probes_last_query)
-            if oracle:
-                xs, ws = idx1.points.xs, idx1.points.ws
-                best = min(
-                    sum(w * abs(x - xs[r2]) for x, w in zip(xs[i : j + 1], ws[i : j + 1]))
-                    for r2 in range(i, j + 1)
-                )
-                _oracle_check(cmd, cost, best)
-            out.append(f"{r} {format_value(cost)}")
-        else:
-            box = _box(cmd, cube.ndim)
-            _validate_box(cmd, box, cube.dims)
-            try:
-                res = cube_range_weighted_median(idx, box)
-            except ValueError as exc:
-                raise CliError(f"line {cmd.lineno}: {exc}") from None
-            stats.queries += 1
-            stats.record("rangesum_probes_max", idx.rangesum_probes_last_query)
-            if oracle:
-                best = None
-                for r in box.coords():
-                    cost = sum(
-                        cube.cell(c)
-                        * sum(abs(scales[j][c[j]] - scales[j][r[j]]) for j in range(cube.ndim))
-                        for c in box.coords()
-                    )
-                    best = cost if best is None else min(best, cost)
-                _oracle_check(cmd, res.cost, best)
-            out.append(
-                " ".join(format_value(x) for x in res.location)
-                + " "
-                + format_value(res.cost)
-            )
-
-
-def _run_kmedian(name, options, data_path, commands, oracle, out, stats):
-    cube, scales = _load_scaled_points(options, data_path, need_1d=True)
-    if any(v < 0 for v in cube.flat()):
-        raise CliError("kmedian weights must be nonnegative")
-    if len(scales) != 1 or len(scales[0]) != cube.dims[0]:
-        raise CliError("scales file must hold one coordinate per cube entry")
-    pts = WeightedPoints1D(scales[0], cube.flat())
-    for cmd in commands:
-        if len(cmd.args) != 2:
-            raise CliError(f"line {cmd.lineno}: kmedian expects K and L")
-        try:
-            count = int(cmd.args[0])
-            length = _number(cmd.args[1], "int" if "." not in cmd.args[1] else "float")
-        except ValueError:
-            raise CliError(f"line {cmd.lineno}: bad kmedian arguments {cmd.raw!r}") from None
-        try:
-            res = interval_k_median(pts, count, length)
-        except ValueError as exc:
-            raise CliError(f"line {cmd.lineno}: {exc}") from None
-        stats.queries += 1
-        stats.record("deque_pushes_max", res.deque_pushes)
-        if oracle:
-            naive = interval_k_median_naive(pts, count, length)
-            _oracle_check(cmd, float(res.cost), float(naive), tol=1e-9)
-        parts = [format_value(res.cost)]
-        for a, b in res.intervals:
-            parts.append(format_value(a))
-            parts.append(format_value(b))
-        out.append(" ".join(parts))
-
-
-def _run_select(name, options, data_path, commands, oracle, out, stats):
-    op = _pop_option(options, "op", "sum")
-    _reject_leftover(options)
-    rows = load_number_lines(data_path)
-    try:
-        arrays = SortedWeightArrays(rows, op)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    oracle_weights = all_weights(arrays) if oracle else None
-    for cmd in commands:
-        if not 1 <= len(cmd.args) <= (2 if cmd.verb == "select" else 3):
-            raise CliError(f"line {cmd.lineno}: bad {cmd.verb} arguments {cmd.raw!r}")
-        try:
-            k = int(cmd.args[0])
-            q = int(cmd.args[1]) if len(cmd.args) > 1 else None
-            eps = float(cmd.args[2]) if len(cmd.args) > 2 else 1e-6
-        except ValueError:
-            raise CliError(f"line {cmd.lineno}: bad {cmd.verb} arguments {cmd.raw!r}") from None
-        split = _resolve_split(arrays, q)
-        try:
-            if cmd.verb == "select":
-                value = kth_smallest(arrays, k, split=split)
-            else:
-                value = aggregate_k_smallest(arrays, op, k, eps=eps, split=split)
-        except ValueError as exc:
-            raise CliError(f"line {cmd.lineno}: {exc}") from None
-        stats.queries += 1
-        if oracle:
-            if cmd.verb == "select":
-                expected = oracle_weights[k - 1]
-            else:
-                chunk = oracle_weights[:k]
-                expected = sum(chunk) if op == "sum" else (
-                    math.prod(chunk) if op == "product" else max(chunk)
-                )
-            tol = 0.0 if arrays.is_integer else 1e-9
-            _oracle_check(cmd, value, expected, tol=tol)
-        out.append(format_value(value))
-
-
-def _resolve_split(arrays, q):
-    if q == 0:
-        return None
-    if q is None:
-        q = choose_split_q(arrays)
-        if q is None:
-            return None
-    try:
-        return build_split(arrays, q)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
 
 
 # -- bench -------------------------------------------------------------------
@@ -652,33 +663,17 @@ def _cmd_bench(ns) -> int:
 
 
 def _cmd_median(ns) -> int:
-    cube = load_cube(ns.cube)
-    scales = load_number_lines(ns.scales)
-    if len(ns.box) != 2 * cube.ndim:
-        raise CliError(f"box needs {2 * cube.ndim} coordinates, got {len(ns.box)}")
-    try:
-        idx = build_cube_median_index(cube, scales)
-        box = QueryBox(ns.box[0::2], ns.box[1::2])
-        box.validate_for(cube.dims)
-        res = cube_range_weighted_median(idx, box)
-    except (ValueError, IndexError) as exc:
-        raise CliError(str(exc)) from None
-    print(" ".join(format_value(x) for x in res.location) + " " + format_value(res.cost))
+    state = _build_median({"scales": ns.scales}, ns.cube, oracle=False)
+    # The box goes through the cube-median handler as that verb's arguments.
+    args = tuple(map(str, ns.box))
+    cmd = ScriptCommand(0, "median", args, " ".join(args))
+    print(_line(_cube_median(state, cmd, oracle=False)))
     return 0
 
 
 def _cmd_select(ns) -> int:
-    rows = load_number_lines(ns.arrays)
-    try:
-        arrays = SortedWeightArrays(rows, ns.op)
-        split = _resolve_split(arrays, ns.q)
-        if ns.agg is not None:
-            value = aggregate_k_smallest(arrays, ns.agg, ns.k, eps=ns.eps, split=split)
-        else:
-            value = kth_smallest(arrays, ns.k, eps=ns.eps, split=split)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    print(format_value(value))
+    state = _build_select({"op": ns.op}, ns.arrays, oracle=False)
+    print(_line(_selection(state, ns.agg, ns.k, ns.q, ns.eps, oracle=False)))
     return 0
 
 
@@ -693,10 +688,7 @@ def main(argv=None) -> int:
     }[ns.command]
     try:
         return handler(ns)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (CliError, OSError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

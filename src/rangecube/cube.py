@@ -31,7 +31,6 @@ __all__ = [
     "QueryBox",
     "PrefixCube",
     "make_cube",
-    "build_prefix_cube",
     "brute_force_range",
 ]
 
@@ -281,7 +280,8 @@ def _inclusion_exclusion(op: AggregateOp, lo: Sequence[int], hi: Sequence[int], 
     called only for corners with no ``-1`` coordinate (an empty prefix, whose
     value is the identity).  The even- and odd-parity corners are folded
     separately and joined by one inverse, which keeps integer division exact
-    for product.
+    for product.  Product tables hold no zero cell, so a zero fold means a
+    prefix underflowed and the box product cannot be divided back out.
     """
     keep = drop = op.identity
     for low, even in _CORNERS[len(lo)]:
@@ -292,6 +292,8 @@ def _inclusion_exclusion(op: AggregateOp, lo: Sequence[int], hi: Sequence[int], 
             keep = op.combine(keep, lookup(corner))
         else:
             drop = op.combine(drop, lookup(corner))
+    if op.name == "product" and (keep == 0 or drop == 0):
+        raise ValueError("product underflow: a prefix product rounded to zero")
     return op.inverse(keep, drop)
 
 
@@ -319,8 +321,3 @@ class PrefixCube:
         # Empty-prefix corners count as lookups too.
         self.lookups_last_query = 1 << len(self.dims)
         return value
-
-
-def build_prefix_cube(cube: DataCube, op: AggregateOp) -> PrefixCube:
-    """Precompute prefix aggregates of ``cube`` for the invertible ``op``."""
-    return PrefixCube(cube, op)

@@ -40,8 +40,6 @@ __all__ = [
     "FenwickCube",
     "HybridCube",
     "BlockPartition",
-    "build_fenwick",
-    "build_hybrid",
 ]
 
 
@@ -332,11 +330,3 @@ class HybridCube(_AxisProductTable):
             return range(position, position + 1)
         block = position - m
         return range(block * self.k, min(m, (block + 1) * self.k))
-
-
-def build_fenwick(cube: DataCube, op: AggregateOp) -> FenwickCube:
-    return FenwickCube(cube, op)
-
-
-def build_hybrid(cube: DataCube, op: AggregateOp, k=None, q=None) -> HybridCube:
-    return HybridCube(cube, op, k, q)

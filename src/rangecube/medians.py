@@ -47,9 +47,7 @@ __all__ = [
     "interval_k_median_naive",
     "interval_1_median",
     "hyperrect_1_median",
-    "build_median_index",
     "range_weighted_median",
-    "build_cube_median_index",
     "cube_range_weighted_median",
 ]
 
@@ -417,10 +415,6 @@ class MedianIndex:
         return (self.wdpsum[p + 1] - self.wdpsum[i]) - w * self.points.xs[i]
 
 
-def build_median_index(pts: WeightedPoints1D) -> MedianIndex:
-    return MedianIndex(pts)
-
-
 def _median_search(i, j, right_minus_left, cost):
     """Largest r in [i, j] keeping more weight right of r than left, then the
     cheaper of r and r+1 (ties to the smaller index)."""
@@ -504,10 +498,6 @@ class CubeMedianIndex:
         if any(a > b for a, b in zip(lo, hi)):
             return 0
         return _inclusion_exclusion(SUM, lo, hi, lambda c: table[c].item())
-
-
-def build_cube_median_index(cube: DataCube, scales) -> CubeMedianIndex:
-    return CubeMedianIndex(cube, scales)
 
 
 @dataclass(frozen=True)

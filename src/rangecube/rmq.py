@@ -8,12 +8,14 @@ group (``stretch == 1`` on base dimensions).  Singleton groups with stretch 1
 recover the unconstrained d-dimensional RMQ.
 
 The table ``m[c, k]`` stores the min (or max) over the box anchored at ``c``
-whose side in dimension ``j`` is ``stretch[j] * 2**k[group(j)]``.  Levels are
-filled in increasing lexicographic order of the k-tuples; each step halves a
-single group (two shifted child blocks per dimension of that group).  The full
-recurrence that halves every positive group simultaneously is kept behind the
-``full_recurrence`` flag purely for differential testing.  Queries combine
-``2**d`` overlapping blocks, one anchored at each corner mix of the box.
+whose side in dimension ``j`` is ``stretch[j] * 2**k[group(j)]``; level ``k``
+holds only the anchors whose block fits the cube (``extent[j] - side[j] + 1``
+of them in dimension ``j``).  Levels are filled in increasing lexicographic
+order of the k-tuples; each step halves a single group (two shifted child
+blocks per dimension of that group).  The full recurrence that halves every
+positive group simultaneously is kept behind the ``full_recurrence`` flag
+purely for differential testing.  Queries combine ``2**d`` overlapping blocks,
+one anchored at each corner mix of the box.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from .cube import DataCube, QueryBox
 __all__ = [
     "DimensionGrouping",
     "SparseTable",
-    "build_sparse_table",
-    "rmq_query",
     "grouped_base_case",
     "constrained_boxes",
 ]
@@ -167,11 +167,6 @@ class SparseTable:
         self.dims = cube.dims
         self._ufunc = np.minimum if mode == "min" else np.maximum
         self._pick = min if mode == "min" else max
-        if cube.values.dtype == np.int64:
-            info = np.iinfo(np.int64)
-            self._sentinel = info.max if mode == "min" else info.min
-        else:
-            self._sentinel = math.inf if mode == "min" else -math.inf
         #: kmax[g]: largest k with stretch[j] * 2**k <= extent[j] for all j in g.
         self.kmax = tuple(
             min((m // f).bit_length() - 1 for m, f in
@@ -192,17 +187,10 @@ class SparseTable:
     def _valid_extents(self, kt: tuple) -> tuple:
         return tuple(m - self._block_len(j, kt) + 1 for j, m in enumerate(self.dims))
 
-    def _fresh(self, ext: tuple, body: np.ndarray) -> np.ndarray:
-        arr = np.full(self.dims, self._sentinel, dtype=self.cube.values.dtype)
-        arr[tuple(slice(0, e) for e in ext)] = body
-        return arr
-
     def _build(self, full_recurrence: bool, base_scan_limit: int):
         g = self.grouping
         zero = (0,) * g.ngroups
-        self.tables[zero] = self._fresh(
-            self._valid_extents(zero), self._base_level(base_scan_limit)
-        )
+        self.tables[zero] = self._base_level(base_scan_limit)
         for kt in itertools.product(*(range(km + 1) for km in self.kmax)):
             if kt == zero:
                 continue
@@ -222,10 +210,10 @@ class SparseTable:
                     start[j] = sj * half[j]
                 view = child[tuple(slice(st, st + e) for st, e in zip(start, ext))]
                 acc = view.copy() if acc is None else self._ufunc(acc, view)
-            self.tables[kt] = self._fresh(ext, acc)
+            self.tables[kt] = acc
 
     def _base_level(self, base_scan_limit: int) -> np.ndarray:
-        """Level-0 body: min/max over the anchored box of side stretch[j]."""
+        """Level 0: min/max over the anchored box of side stretch[j]."""
         g = self.grouping
         values = self.cube.values
         ext = self._valid_extents((0,) * g.ngroups)
@@ -311,29 +299,6 @@ class SparseTable:
             if not 0 <= a <= m - self._block_len(j, kt):
                 raise IndexError(f"anchor {a} out of range for level {kt} in dimension {j}")
         return self.tables[kt][anchor].item()
-
-
-def build_sparse_table(
-    cube: DataCube,
-    grouping: Optional[DimensionGrouping] = None,
-    mode: str = "min",
-    *,
-    full_recurrence: bool = False,
-    base_scan_limit: int = BASE_CASE_SCAN_LIMIT,
-) -> SparseTable:
-    """Precompute the sparse table for ``cube`` under ``grouping``."""
-    return SparseTable(
-        cube,
-        grouping,
-        mode,
-        full_recurrence=full_recurrence,
-        base_scan_limit=base_scan_limit,
-    )
-
-
-def rmq_query(table: SparseTable, box: QueryBox):
-    """Range min/max over ``box``; must satisfy the grouping's shape constraint."""
-    return table.query(box)
 
 
 def grouped_base_case(

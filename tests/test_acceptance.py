@@ -14,26 +14,26 @@ import pytest
 from rangecube import (
     MAX,
     MIN,
+    PrefixCube,
     QueryBox,
     SUM,
     XOR,
     brute_force_range,
-    build_prefix_cube,
     make_cube,
 )
 from rangecube.cli import main, run_script
 from rangecube.dynamic import FenwickCube, HybridCube
 from rangecube.medians import (
+    CubeMedianIndex,
+    MedianIndex,
     WeightedPoints1D,
-    build_cube_median_index,
-    build_median_index,
     cube_range_weighted_median,
     interval_1_median,
     interval_k_median,
     interval_k_median_naive,
     range_weighted_median,
 )
-from rangecube.rmq import DimensionGrouping, SparseTable, build_sparse_table
+from rangecube.rmq import DimensionGrouping, SparseTable
 from rangecube.selection import (
     SortedWeightArrays,
     aggregate_k_smallest,
@@ -72,10 +72,10 @@ def test_criterion_1_static_aggregate_equivalence():
     rmq_counter_violations = 0
     for _ in range(200):
         cube = random_cube(rng)
-        pc_sum = build_prefix_cube(cube, SUM)
-        pc_xor = build_prefix_cube(cube, XOR)
-        t_min = build_sparse_table(cube, mode="min")
-        t_max = build_sparse_table(cube, mode="max")
+        pc_sum = PrefixCube(cube, SUM)
+        pc_xor = PrefixCube(cube, XOR)
+        t_min = SparseTable(cube, mode="min")
+        t_max = SparseTable(cube, mode="max")
         for _ in range(100):
             box = random_box(rng, cube.dims)
             assert pc_sum.range_aggregate(box) == brute_force_range(cube, box, SUM)
@@ -154,7 +154,7 @@ def median_query_corpus():
         n = rng.randint(1, 64)
         xs = sorted(rng.randint(0, 300) for _ in range(n))
         ws = [rng.randint(0, 9) for _ in range(n)]
-        idx = build_median_index(WeightedPoints1D(xs, ws))
+        idx = MedianIndex(WeightedPoints1D(xs, ws))
         budget = 2 * math.ceil(math.log2(n)) + 4 if n > 1 else 4
         xs_np = np.array(xs, dtype=np.int64)
         ws_np = np.array(ws, dtype=np.int64)
@@ -177,7 +177,7 @@ def median_query_corpus():
             values[0] = 1
         scales = [sorted(rng.sample(range(100), m)) for m in dims]
         cube = make_cube(dims, values)
-        idx = build_cube_median_index(cube, scales)
+        idx = CubeMedianIndex(cube, scales)
         dist = [
             np.abs(
                 np.array(s, dtype=np.int64)[:, None] - np.array(s, dtype=np.int64)[None, :]
@@ -326,16 +326,16 @@ def test_criterion_7_differential_sparse_table_recurrences():
         dims = [rng.randint(1, 16) for _ in range(d)]
         cube = make_cube(dims, [rng.randint(-100, 100) for _ in range(math.prod(dims))])
         for mode in ("min", "max"):
-            fast = build_sparse_table(cube, mode=mode)
-            full = build_sparse_table(cube, mode=mode, full_recurrence=True)
+            fast = SparseTable(cube, mode=mode)
+            full = SparseTable(cube, mode=mode, full_recurrence=True)
             assert fast.tables.keys() == full.tables.keys()
             for kt in fast.tables:
                 assert np.array_equal(fast.tables[kt], full.tables[kt])
     grouping = DimensionGrouping([0, 0], [0], [1, 2])
     dims = [rng.randint(2, 12), rng.randint(2, 16)]
     cube = make_cube(dims, [rng.randint(-100, 100) for _ in range(math.prod(dims))])
-    fast = build_sparse_table(cube, grouping)
-    full = build_sparse_table(cube, grouping, full_recurrence=True)
+    fast = SparseTable(cube, grouping)
+    full = SparseTable(cube, grouping, full_recurrence=True)
     for kt in fast.tables:
         assert np.array_equal(fast.tables[kt], full.tables[kt])
     report(7, "differential table recurrences", time.perf_counter() - start, 10)

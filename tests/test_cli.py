@@ -149,6 +149,29 @@ class TestQueryGolden:
         assert code == 1
         assert "overflow" in err
 
+    def test_overflow_rejection_at_int64_min(self, files, capsys):
+        cube = files("cube.txt", f"1\n2\nint\n{-(1 << 63)} 0\n")
+        script = files("s.txt", "prefix 1\n")
+        code, out, err = run(capsys, ["query", "prefix:op=sum", cube, script])
+        assert code == 1
+        assert "overflow" in err
+
+    @pytest.mark.parametrize("struct", ["prefix:op=xor", "fenwick:op=xor"])
+    def test_xor_needs_int_cube(self, files, capsys, struct):
+        cube = files("cube.txt", "2\n2 2\nfloat\n1.0 2.0 3.0 4.0\n")
+        script = files("s.txt", "prefix 1 1\n")
+        code, out, err = run(capsys, ["query", struct, cube, script])
+        assert code == 1
+        assert "xor needs an integer cube" in err
+
+    def test_kmedian_negative_weight(self, files, capsys):
+        cube = files("w.txt", "1\n3\nint\n1 -2 3\n")
+        scales = files("scales.txt", "0 4 10\n")
+        script = files("s.txt", "kmedian 1 4\n")
+        code, out, err = run(capsys, ["query", f"kmedian:scales={scales}", cube, script])
+        assert code == 1
+        assert "nonnegative" in err
+
     def test_product_needs_float_cube(self, files, capsys):
         cube = files("cube.txt", CUBE_2X2)
         script = files("s.txt", "prefix 1 1\n")
@@ -288,6 +311,34 @@ class TestTopLevelCommands:
             capsys, ["select", arrays, "--op", "max", "--k", "4"]
         )
         assert code == 0 and out == "2\n"
+
+    def test_median_command_matches_script(self, files, capsys):
+        cube = files("cube.txt", "2\n3 3\nint\n4 0 1 2 7 1 0 3 5\n")
+        scales = files("scales.txt", "0 1 5\n0 2 3\n")
+        for box in (["0", "2", "0", "2"], ["1", "2", "0", "1"], ["0", "0", "2", "2"]):
+            script = files("s.txt", "cube-median " + " ".join(box) + "\n")
+            code, out, err = run(capsys, ["query", f"median:scales={scales}", cube, script])
+            assert code == 0
+            code, one, err = run(capsys, ["median", cube, scales, *box])
+            assert code == 0
+            assert one == out.splitlines(keepends=True)[0]
+
+    @pytest.mark.parametrize("op", ["sum", "product", "max"])
+    def test_select_command_matches_script(self, files, capsys, op):
+        arrays = files("arr.txt", "1 2 5\n1 3 4\n2 2 7\n")
+        for line, flags in (
+            ("select 4", ["--k", "4"]),
+            ("select 9 1", ["--k", "9", "--q", "1"]),
+            ("select 27 0", ["--k", "27", "--q", "0"]),
+            ("agg-select 5", ["--agg", op, "--k", "5"]),
+            ("agg-select 8 2", ["--agg", op, "--k", "8", "--q", "2"]),
+        ):
+            script = files("s.txt", line + "\n")
+            code, out, err = run(capsys, ["query", f"select:op={op}", arrays, script])
+            assert code == 0
+            code, one, err = run(capsys, ["select", arrays, "--op", op, *flags])
+            assert code == 0
+            assert one == out.splitlines(keepends=True)[0]
 
     def test_select_float_eps(self, files, capsys):
         arrays = files("arr.txt", "0.5 1.5\n0.25 0.75\n")

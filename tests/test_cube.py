@@ -10,11 +10,11 @@ from rangecube import (
     MAX,
     MIN,
     PRODUCT,
+    PrefixCube,
     QueryBox,
     SUM,
     XOR,
     brute_force_range,
-    build_prefix_cube,
     make_cube,
 )
 
@@ -107,27 +107,27 @@ class TestBruteForce:
 
 class TestPrefixCube:
     def test_sum_table(self):
-        pc = build_prefix_cube(make_cube([2, 2], [1, 2, 3, 4]), SUM)
+        pc = PrefixCube(make_cube([2, 2], [1, 2, 3, 4]), SUM)
         assert pc.table.tolist() == [[1, 3], [4, 10]]
 
     def test_xor_all_zero(self):
-        pc = build_prefix_cube(make_cube([2, 3], [0] * 6), XOR)
+        pc = PrefixCube(make_cube([2, 3], [0] * 6), XOR)
         assert not pc.table.any()
 
     def test_min_rejected(self):
         with pytest.raises(ValueError, match="inverse"):
-            build_prefix_cube(make_cube([2], [1, 2]), MIN)
+            PrefixCube(make_cube([2], [1, 2]), MIN)
 
     def test_xor_float_cube_rejected(self):
         with pytest.raises(ValueError, match="xor needs an integer cube"):
-            build_prefix_cube(make_cube([2], [1.0, 2.5]), XOR)
+            PrefixCube(make_cube([2], [1.0, 2.5]), XOR)
 
     def test_product_zero_cell_rejected(self):
         with pytest.raises(ValueError, match="zero"):
-            build_prefix_cube(make_cube([2], [1, 0]), PRODUCT)
+            PrefixCube(make_cube([2], [1, 0]), PRODUCT)
 
     def test_range_aggregate_examples(self):
-        pc = build_prefix_cube(make_cube([2, 2], [1, 2, 3, 4]), SUM)
+        pc = PrefixCube(make_cube([2, 2], [1, 2, 3, 4]), SUM)
         assert pc.range_aggregate(QueryBox([0, 0], [1, 1])) == 10
         assert pc.range_aggregate(QueryBox([1, 1], [1, 1])) == 4
         assert pc.range_aggregate(QueryBox([0, 0], [1, 0])) == 4
@@ -137,28 +137,36 @@ class TestPrefixCube:
         for _ in range(20):
             cube = random_cube(rng)
             for op in (SUM, XOR):
-                pc = build_prefix_cube(cube, op)
+                pc = PrefixCube(cube, op)
                 assert pc.range_aggregate(QueryBox.full(cube.dims)) == op.fold(cube.flat())
 
     def test_lookup_counter_is_exactly_2_pow_d(self):
         rng = random.Random(11)
         for _ in range(20):
             cube = random_cube(rng)
-            pc = build_prefix_cube(cube, SUM)
+            pc = PrefixCube(cube, SUM)
             box = random_box(rng, cube.dims)
             pc.range_aggregate(box)
             assert pc.lookups_last_query == 2 ** cube.ndim
 
     def test_product_small_integers_exact(self):
         cube = make_cube([2, 2], [2, 3, 5, 7])
-        pc = build_prefix_cube(cube, PRODUCT)
+        pc = PrefixCube(cube, PRODUCT)
         for coords in QueryBox.full(cube.dims).coords():
             box = QueryBox(coords, coords)
             assert pc.range_aggregate(box) == cube.cell(coords)
         assert pc.range_aggregate(QueryBox([0, 1], [1, 1])) == 21
 
+    def test_product_underflow_rejected(self):
+        # The prefix products past the second cell round to 0.0.
+        pc = PrefixCube(make_cube([3], [1e-200, 1e-200, 5.0]), PRODUCT)
+        for box in (QueryBox([2], [2]), QueryBox([1], [1])):
+            with pytest.raises(ValueError, match="underflow"):
+                pc.range_aggregate(box)
+        assert pc.range_aggregate(QueryBox([0], [0])) == 1e-200
+
     def test_out_of_bounds_box(self):
-        pc = build_prefix_cube(make_cube([2, 2], [1, 2, 3, 4]), SUM)
+        pc = PrefixCube(make_cube([2, 2], [1, 2, 3, 4]), SUM)
         with pytest.raises(IndexError):
             pc.range_aggregate(QueryBox([0, 0], [2, 1]))
 
@@ -188,7 +196,7 @@ def cube_and_box(draw):
 def test_prefix_matches_brute_force(case):
     cube, box = case
     for op in (SUM, XOR):
-        pc = build_prefix_cube(cube, op)
+        pc = PrefixCube(cube, op)
         assert pc.range_aggregate(box) == brute_force_range(cube, box, op)
 
 
@@ -197,7 +205,7 @@ def test_random_corpus_sum_xor():
     rng = random.Random(2024)
     for _ in range(50):
         cube = random_cube(rng)
-        tables = {op.name: build_prefix_cube(cube, op) for op in (SUM, XOR)}
+        tables = {op.name: PrefixCube(cube, op) for op in (SUM, XOR)}
         for _ in range(25):
             box = random_box(rng, cube.dims)
             for op in (SUM, XOR):

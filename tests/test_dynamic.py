@@ -10,14 +10,14 @@ from hypothesis import given, settings, strategies as st
 from rangecube import (
     MIN,
     PRODUCT,
+    PrefixCube,
     QueryBox,
     SUM,
     XOR,
     brute_force_range,
-    build_prefix_cube,
     make_cube,
 )
-from rangecube.dynamic import FenwickCube, HybridCube, build_fenwick, build_hybrid
+from rangecube.dynamic import FenwickCube, HybridCube
 
 
 def zero_cube(dims):
@@ -37,23 +37,23 @@ def shadow_prefix(cube_values, b, op):
 
 class TestFenwick:
     def test_zero_cube_identity_tree(self):
-        fc = build_fenwick(zero_cube([4, 4]), SUM)
+        fc = FenwickCube(zero_cube([4, 4]), SUM)
         assert not fc.tree.any()
 
     def test_1d_prefix(self):
-        fc = build_fenwick(make_cube([4], [1, 2, 3, 4]), SUM)
+        fc = FenwickCube(make_cube([4], [1, 2, 3, 4]), SUM)
         assert fc.prefix_query((2,)) == 6
 
     def test_2d_xor_full_prefix(self):
-        fc = build_fenwick(make_cube([2, 2], [1, 2, 3, 4]), XOR)
+        fc = FenwickCube(make_cube([2, 2], [1, 2, 3, 4]), XOR)
         assert fc.prefix_query((1, 1)) == 1 ^ 2 ^ 3 ^ 4
 
     def test_min_rejected(self):
         with pytest.raises(ValueError, match="inverse"):
-            build_fenwick(zero_cube([4]), MIN)
+            FenwickCube(zero_cube([4]), MIN)
 
     def test_update_sequence(self):
-        fc = build_fenwick(zero_cube([4, 4]), SUM)
+        fc = FenwickCube(zero_cube([4, 4]), SUM)
         fc.update((2, 3), 5)
         assert fc.prefix_query((3, 3)) == 5
         fc.update((0, 0), 2)
@@ -61,14 +61,14 @@ class TestFenwick:
         assert fc.prefix_query((1, 3)) == 2
 
     def test_range_query(self):
-        fc = build_fenwick(make_cube([2, 2], [1, 2, 3, 4]), SUM)
+        fc = FenwickCube(make_cube([2, 2], [1, 2, 3, 4]), SUM)
         assert fc.range_query(QueryBox([1, 0], [1, 1])) == 7
         assert fc.range_query(QueryBox([0, 1], [0, 1])) == 2
 
     def test_counter_bound(self):
         rng = random.Random(13)
         cube = random_cube(rng, d=3, max_extent=8)
-        fc = build_fenwick(cube, SUM)
+        fc = FenwickCube(cube, SUM)
         bound = fc.op_cell_bound
         for _ in range(50):
             coords = [rng.randint(0, m - 1) for m in cube.dims]
@@ -78,7 +78,7 @@ class TestFenwick:
             assert fc.cells_touched_last_query <= bound
 
     def test_point_read_and_set_value(self):
-        fc = build_fenwick(make_cube([3], [5, 6, 7]), SUM)
+        fc = FenwickCube(make_cube([3], [5, 6, 7]), SUM)
         fc.set_value((1,), 100)
         assert fc.point_read((1,)) == 100
         assert fc.prefix_query((2,)) == 5 + 100 + 7
@@ -86,12 +86,12 @@ class TestFenwick:
     def test_xor_full_box_is_fold(self):
         rng = random.Random(21)
         cube = random_cube(rng, d=2, max_extent=5)
-        fc = build_fenwick(cube, XOR)
+        fc = FenwickCube(cube, XOR)
         assert fc.range_query(QueryBox.full(cube.dims)) == XOR.fold(cube.flat())
 
     def test_inverse_cancellation(self):
         cube = make_cube([3, 3], range(9))
-        fc = build_fenwick(cube, SUM)
+        fc = FenwickCube(cube, SUM)
         before = [fc.prefix_query((i, j)) for i in range(3) for j in range(3)]
         fc.update((1, 2), 42)
         fc.update((1, 2), -42)
@@ -100,27 +100,27 @@ class TestFenwick:
 
 class TestHybrid:
     def test_zero_cube_identity_cells(self):
-        hc = build_hybrid(zero_cube([4, 4]), SUM, k=2, q=1)
+        hc = HybridCube(zero_cube([4, 4]), SUM, k=2, q=1)
         assert not hc.table.any()
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError, match="block size"):
-            build_hybrid(zero_cube([4]), SUM, k=0)
+            HybridCube(zero_cube([4]), SUM, k=0)
         with pytest.raises(ValueError, match="split count"):
-            build_hybrid(zero_cube([4]), SUM, q=2)
+            HybridCube(zero_cube([4]), SUM, q=2)
 
     def test_defaults(self):
-        hc = build_hybrid(zero_cube([5, 5]), SUM)
+        hc = HybridCube(zero_cube([5, 5]), SUM)
         assert hc.k == 3  # ceil(sqrt(5))
         assert hc.q == 1
 
     def test_prefix_example(self):
         cube = make_cube([4, 4], range(1, 17))
-        hc = build_hybrid(cube, SUM, k=2, q=1)
+        hc = HybridCube(cube, SUM, k=2, q=1)
         assert hc.prefix_query((2, 1)) == 1 + 2 + 5 + 6 + 9 + 10
 
     def test_update_then_query(self):
-        hc = build_hybrid(zero_cube([4, 4]), SUM, k=2, q=1)
+        hc = HybridCube(zero_cube([4, 4]), SUM, k=2, q=1)
         hc.update((1, 2), 3)
         assert hc.prefix_query((3, 3)) == 3
         assert hc.prefix_query((0, 3)) == 0
@@ -128,7 +128,7 @@ class TestHybrid:
     def test_inverse_cancellation(self):
         rng = random.Random(3)
         cube = random_cube(rng, d=2, max_extent=6)
-        hc = build_hybrid(cube, SUM, k=2, q=1)
+        hc = HybridCube(cube, SUM, k=2, q=1)
         before = [hc.prefix_query((i, j)) for i in range(cube.dims[0]) for j in range(cube.dims[1])]
         hc.update((1, 1), 9)
         hc.update((1, 1), -9)
@@ -137,7 +137,7 @@ class TestHybrid:
 
     def test_q_zero_single_partition(self):
         cube = make_cube([4, 4], range(16))
-        hc = build_hybrid(cube, SUM, k=2, q=0)
+        hc = HybridCube(cube, SUM, k=2, q=0)
         bp = hc.partition(())
         # block cells cover all rows of blocks strictly before them
         assert bp.cell((4 + 1, 4 + 1)) == sum(
@@ -147,14 +147,14 @@ class TestHybrid:
 
     def test_q_d_degenerate_update_bound(self):
         cube = zero_cube([4, 4])
-        hc = build_hybrid(cube, SUM, k=2, q=2)
+        hc = HybridCube(cube, SUM, k=2, q=2)
         hc.update((1, 2), 1)
         assert hc.cells_touched_last_update <= 2 ** 2
 
     def test_covered_rows_tiling(self):
         """The 2**(d-q) query cells of qualifying outer tuples tile the prefix box."""
         cube = zero_cube([5, 4])
-        hc = build_hybrid(cube, SUM, k=2, q=1)
+        hc = HybridCube(cube, SUM, k=2, q=1)
         for b in QueryBox.full(cube.dims).coords():
             seen = set()
             blk0 = b[0] // hc.k
@@ -176,7 +176,7 @@ class TestHybrid:
     def test_range_query(self):
         rng = random.Random(9)
         cube = random_cube(rng, d=2, max_extent=6)
-        hc = build_hybrid(cube, SUM, k=2, q=1)
+        hc = HybridCube(cube, SUM, k=2, q=1)
         for _ in range(20):
             lo = [rng.randint(0, m - 1) for m in cube.dims]
             hi = [rng.randint(a, m - 1) for a, m in zip(lo, cube.dims)]
@@ -184,7 +184,7 @@ class TestHybrid:
             assert hc.range_query(box) == brute_force_range(cube, box, SUM)
 
     def test_set_value(self):
-        hc = build_hybrid(make_cube([4], [1, 2, 3, 4]), SUM, k=2, q=1)
+        hc = HybridCube(make_cube([4], [1, 2, 3, 4]), SUM, k=2, q=1)
         hc.set_value((2,), -5)
         assert hc.point_read((2,)) == -5
         assert hc.prefix_query((3,)) == 1 + 2 - 5 + 4
@@ -194,7 +194,7 @@ class TestHybrid:
         for d, q in ((1, 0), (2, 1), (2, 2), (3, 1)):
             cube = random_cube(rng, d=d, max_extent=8)
             k = rng.randint(1, max(cube.dims))
-            hc = build_hybrid(cube, SUM, k=k, q=q)
+            hc = HybridCube(cube, SUM, k=k, q=q)
             for _ in range(40):
                 coords = [rng.randint(0, m - 1) for m in cube.dims]
                 hc.update(coords, rng.randint(-9, 9))
@@ -203,7 +203,7 @@ class TestHybrid:
                 assert hc.cells_touched_last_query <= hc.query_cell_bound
 
 
-STRUCTURES = {"fenwick": build_fenwick, "hybrid": build_hybrid}
+STRUCTURES = {"fenwick": FenwickCube, "hybrid": HybridCube}
 
 
 class TestCrossStructure:
@@ -211,14 +211,14 @@ class TestCrossStructure:
     @pytest.mark.parametrize(
         "build, dims",
         [
-            pytest.param(build_fenwick, (5, 3, 7), id="fenwick"),
-            pytest.param(build_fenwick, (1,), id="fenwick-1x"),
-            pytest.param(lambda c, op: build_hybrid(c, op, k=3, q=0), (7, 5), id="hybrid-q0"),
-            pytest.param(lambda c, op: build_hybrid(c, op, k=3, q=2), (7, 5), id="hybrid-qd"),
-            pytest.param(lambda c, op: build_hybrid(c, op, k=1, q=1), (4, 6), id="hybrid-k1"),
-            pytest.param(lambda c, op: build_hybrid(c, op, k=6, q=1), (6, 4), id="hybrid-kn"),
-            pytest.param(lambda c, op: build_hybrid(c, op, k=4, q=1), (10, 7, 5), id="hybrid-ragged"),
-            pytest.param(lambda c, op: build_hybrid(c, op, k=3, q=1), (7,), id="hybrid-1d"),
+            pytest.param(FenwickCube, (5, 3, 7), id="fenwick"),
+            pytest.param(FenwickCube, (1,), id="fenwick-1x"),
+            pytest.param(lambda c, op: HybridCube(c, op, k=3, q=0), (7, 5), id="hybrid-q0"),
+            pytest.param(lambda c, op: HybridCube(c, op, k=3, q=2), (7, 5), id="hybrid-qd"),
+            pytest.param(lambda c, op: HybridCube(c, op, k=1, q=1), (4, 6), id="hybrid-k1"),
+            pytest.param(lambda c, op: HybridCube(c, op, k=6, q=1), (6, 4), id="hybrid-kn"),
+            pytest.param(lambda c, op: HybridCube(c, op, k=4, q=1), (10, 7, 5), id="hybrid-ragged"),
+            pytest.param(lambda c, op: HybridCube(c, op, k=3, q=1), (7,), id="hybrid-1d"),
         ],
     )
     def test_build_equivalent_to_point_updates(self, build, dims, op):
@@ -265,6 +265,15 @@ class TestCrossStructure:
         assert structure.range_query(QueryBox([0], [3])) == 60.0
 
     @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    def test_product_underflow_rejected(self, name):
+        # The prefix products past the second cell round to 0.0.
+        structure = STRUCTURES[name](make_cube([3], [1e-200, 1e-200, 5.0]), PRODUCT)
+        for box in (QueryBox([2], [2]), QueryBox([1], [1])):
+            with pytest.raises(ValueError, match="underflow"):
+                structure.range_query(box)
+        assert structure.range_query(QueryBox([0], [0])) == 1e-200
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
     def test_xor_rejects_float_cube(self, name):
         with pytest.raises(ValueError, match="xor needs an integer cube"):
             STRUCTURES[name](make_cube([2], [1.0, 2.5]), XOR)
@@ -278,11 +287,11 @@ class TestCrossStructure:
             n = max(cube.dims)
             k_default = math.isqrt(n - 1) + 1 if n > 1 else 1
             shadow = [cube.values.copy()]
-            fenwick = build_fenwick(cube, SUM)
+            fenwick = FenwickCube(cube, SUM)
             hybrids = [
-                build_hybrid(cube, SUM, k=1, q=0),
-                build_hybrid(cube, SUM, k=k_default, q=d // 2),
-                build_hybrid(cube, SUM, k=k_default, q=d),
+                HybridCube(cube, SUM, k=1, q=0),
+                HybridCube(cube, SUM, k=k_default, q=d // 2),
+                HybridCube(cube, SUM, k=k_default, q=d),
             ]
             for _ in range(60):
                 if rng.random() < 0.5:
@@ -295,7 +304,7 @@ class TestCrossStructure:
                 else:
                     b = tuple(rng.randint(0, m - 1) for m in cube.dims)
                     expected = shadow_prefix(shadow[0], b, SUM)
-                    rebuilt = build_prefix_cube(make_cube(cube.dims, shadow[0].reshape(-1).tolist()), SUM)
+                    rebuilt = PrefixCube(make_cube(cube.dims, shadow[0].reshape(-1).tolist()), SUM)
                     box = QueryBox([0] * d, b)
                     assert fenwick.prefix_query(b) == expected
                     assert rebuilt.range_aggregate(box) == expected
@@ -327,8 +336,8 @@ def test_dynamic_structures_match_brute_force(script, op_name):
 
     dims, steps, probe = script
     op = OPS[op_name]
-    fc = build_fenwick(zero_cube(dims), op)
-    hc = build_hybrid(zero_cube(dims), op)
+    fc = FenwickCube(zero_cube(dims), op)
+    hc = HybridCube(zero_cube(dims), op)
     plain = zero_cube(dims)
     for coords, delta in steps:
         fc.update(coords, delta)

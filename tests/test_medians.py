@@ -8,10 +8,10 @@ import pytest
 
 from rangecube import QueryBox, make_cube
 from rangecube.medians import (
+    CubeMedianIndex,
+    MedianIndex,
     WeightedPoints1D,
     augment_points,
-    build_cube_median_index,
-    build_median_index,
     cube_range_weighted_median,
     hyperrect_1_median,
     interval_1_median,
@@ -272,19 +272,19 @@ class TestHyperrect:
 
 class TestMedianIndex:
     def test_wsum_examples(self):
-        idx = build_median_index(WeightedPoints1D([1, 2, 3], [1, 1, 1]))
+        idx = MedianIndex(WeightedPoints1D([1, 2, 3], [1, 1, 1]))
         assert idx.wsum(0, 2) == 3
         assert idx.wsum_lr(0, 2) == 3 * 3 - 6
         assert idx.wsum_rl(0, 2) == 6 - 3 * 1
 
     def test_single_point_costs_zero(self):
-        idx = build_median_index(WeightedPoints1D([5, 9], [2, 3]))
+        idx = MedianIndex(WeightedPoints1D([5, 9], [2, 3]))
         for i in range(2):
             assert idx.wsum_lr(i, i) == 0
             assert idx.wsum_rl(i, i) == 0
 
     def test_zero_weights(self):
-        idx = build_median_index(WeightedPoints1D([1, 4, 9], [0, 0, 0]))
+        idx = MedianIndex(WeightedPoints1D([1, 4, 9], [0, 0, 0]))
         assert idx.wsum(0, 2) == 0
         assert idx.wsum_lr(0, 2) == 0
         assert idx.wsum_rl(0, 2) == 0
@@ -303,7 +303,7 @@ class TestRangeWeightedMedian:
         )
 
     def test_examples(self):
-        idx = build_median_index(WeightedPoints1D([1, 2, 3, 10], [1, 1, 1, 1]))
+        idx = MedianIndex(WeightedPoints1D([1, 2, 3, 10], [1, 1, 1, 1]))
         r, cost = range_weighted_median(idx, 0, 2)
         assert (r, cost) == (1, 2)
         assert range_weighted_median(idx, 3, 3) == (3, 0)
@@ -317,7 +317,7 @@ class TestRangeWeightedMedian:
             n = rng.randint(1, 40)
             xs = sorted(rng.randint(0, 200) for _ in range(n))
             ws = [rng.randint(0, 9) for _ in range(n)]
-            idx = build_median_index(WeightedPoints1D(xs, ws))
+            idx = MedianIndex(WeightedPoints1D(xs, ws))
             i = rng.randint(0, n - 1)
             j = rng.randint(i, n - 1)
             best_cost, _ = self.brute(idx, i, j)
@@ -330,7 +330,7 @@ class TestRangeWeightedMedian:
         n = 64
         xs = sorted(rng.randint(0, 500) for _ in range(n))
         ws = [rng.randint(0, 9) for _ in range(n)]
-        idx = build_median_index(WeightedPoints1D(xs, ws))
+        idx = MedianIndex(WeightedPoints1D(xs, ws))
         budget = 2 * math.ceil(math.log2(n)) + 4
         for _ in range(50):
             i = rng.randint(0, n - 1)
@@ -339,7 +339,7 @@ class TestRangeWeightedMedian:
             assert idx.probes_last_query <= budget
 
     def test_invalid_range(self):
-        idx = build_median_index(WeightedPoints1D([1, 2], [1, 1]))
+        idx = MedianIndex(WeightedPoints1D([1, 2], [1, 1]))
         with pytest.raises(IndexError):
             range_weighted_median(idx, 1, 0)
 
@@ -371,7 +371,7 @@ class TestFloatInstances:
             n = rng.randint(1, 30)
             xs = sorted(round(rng.uniform(0, 50), 3) for _ in range(n))
             ws = [round(rng.uniform(0, 4), 3) for _ in range(n)]
-            idx = build_median_index(WeightedPoints1D(xs, ws))
+            idx = MedianIndex(WeightedPoints1D(xs, ws))
             i = rng.randint(0, n - 1)
             j = rng.randint(i, n - 1)
             _, cost = range_weighted_median(idx, i, j)
@@ -400,23 +400,23 @@ def cube_median_brute(cube, scales, box):
 class TestCubeMedian:
     def test_prefix_cube_folds(self):
         cube = make_cube([2, 2], [1, 1, 1, 1])
-        idx = build_cube_median_index(cube, [[0, 1], [0, 1]])
+        idx = CubeMedianIndex(cube, [[0, 1], [0, 1]])
         assert idx.ps_cube[1, 1] == 4
         assert idx.psd_cubes[0][1, 1] == 0 * 2 + 1 * 2
-        zero = build_cube_median_index(make_cube([2, 2], [0] * 4), [[0, 1], [0, 1]])
+        zero = CubeMedianIndex(make_cube([2, 2], [0] * 4), [[0, 1], [0, 1]])
         assert not zero.ps_cube.any()
         assert not any(t.any() for t in zero.psd_cubes)
 
     def test_three_by_three_ones(self):
         cube = make_cube([3, 3], [1] * 9)
-        idx = build_cube_median_index(cube, [[0, 1, 2], [0, 1, 2]])
+        idx = CubeMedianIndex(cube, [[0, 1, 2], [0, 1, 2]])
         res = cube_range_weighted_median(idx, QueryBox.full(cube.dims))
         assert res.location == (1, 1)
         assert res.cost == 12
 
     def test_single_cell_box(self):
         cube = make_cube([3, 3], range(1, 10))
-        idx = build_cube_median_index(cube, [[0, 1, 2], [0, 2, 5]])
+        idx = CubeMedianIndex(cube, [[0, 1, 2], [0, 2, 5]])
         res = cube_range_weighted_median(idx, QueryBox([1, 2], [1, 2]))
         assert res.location == (1, 5)
         assert res.cost == 0
@@ -425,24 +425,24 @@ class TestCubeMedian:
         values = [0] * 27
         values[13] = 7  # cell (1, 1, 1)
         cube = make_cube([3, 3, 3], values)
-        idx = build_cube_median_index(cube, [[0, 1, 2]] * 3)
+        idx = CubeMedianIndex(cube, [[0, 1, 2]] * 3)
         res = cube_range_weighted_median(idx, QueryBox.full(cube.dims))
         assert res.indices == (1, 1, 1)
         assert res.cost == 0
 
     def test_zero_weight_box_rejected(self):
         cube = make_cube([2, 2], [0, 0, 0, 1])
-        idx = build_cube_median_index(cube, [[0, 1], [0, 1]])
+        idx = CubeMedianIndex(cube, [[0, 1], [0, 1]])
         with pytest.raises(ValueError, match="positive weight"):
             cube_range_weighted_median(idx, QueryBox([0, 0], [0, 0]))
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            build_cube_median_index(make_cube([2], [1, -1]), [[0, 1]])
+            CubeMedianIndex(make_cube([2], [1, -1]), [[0, 1]])
 
     def test_unsorted_scale_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
-            build_cube_median_index(make_cube([2], [1, 1]), [[1, 0]])
+            CubeMedianIndex(make_cube([2], [1, 1]), [[1, 0]])
 
     def test_matches_brute_force(self):
         rng = random.Random(43)
@@ -454,7 +454,7 @@ class TestCubeMedian:
                 values[0] = 1
             scales = [sorted(rng.sample(range(0, 50), m)) for m in dims]
             cube = make_cube(dims, values)
-            idx = build_cube_median_index(cube, scales)
+            idx = CubeMedianIndex(cube, scales)
             lo = [rng.randint(0, m - 1) for m in dims]
             hi = [rng.randint(a, m - 1) for a, m in zip(lo, dims)]
             box = QueryBox(lo, hi)
@@ -473,7 +473,7 @@ class TestCubeMedian:
         values[0] += 1
         scales = [sorted(rng.sample(range(40), m)) for m in dims]
         cube = make_cube(dims, values)
-        idx = build_cube_median_index(cube, scales)
+        idx = CubeMedianIndex(cube, scales)
         box = QueryBox.full(dims)
         res = cube_range_weighted_median(idx, box)
         for j in range(2):
@@ -484,13 +484,13 @@ class TestCubeMedian:
                     if c[j] == p:
                         total += cube.cell(c)
                 slab_ws.append(total)
-            idx1 = build_median_index(WeightedPoints1D(scales[j], slab_ws))
+            idx1 = MedianIndex(WeightedPoints1D(scales[j], slab_ws))
             r, _ = range_weighted_median(idx1, 0, dims[j] - 1)
             assert r == res.indices[j]
 
     def test_probe_budget(self):
         cube = make_cube([6, 6, 6], [1] * 216)
-        idx = build_cube_median_index(cube, [list(range(6))] * 3)
+        idx = CubeMedianIndex(cube, [list(range(6))] * 3)
         cube_range_weighted_median(idx, QueryBox.full(cube.dims))
         # per dimension: 2 RangeSums per bisection step plus 2 candidate cost
         # evaluations of 4 RangeSums each; plus the positivity check

@@ -10,10 +10,8 @@ from rangecube import MAX, MIN, QueryBox, brute_force_range, make_cube
 from rangecube.rmq import (
     DimensionGrouping,
     SparseTable,
-    build_sparse_table,
     constrained_boxes,
     grouped_base_case,
-    rmq_query,
 )
 
 
@@ -45,68 +43,69 @@ class TestGrouping:
 
 class TestBuild:
     def test_1d_block_entries(self):
-        table = build_sparse_table(make_cube([5], [3, 1, 4, 1, 5]))
+        table = SparseTable(make_cube([5], [3, 1, 4, 1, 5]))
         assert table.block_value((1,), (1,)) == 1  # min(1, 4)
         assert table.block_value((0,), (2,)) == 1  # min over first four
         assert table.block_value((4,), (0,)) == 5
 
     def test_constant_cube(self):
-        table = build_sparse_table(make_cube([4, 4], [7] * 16))
+        table = SparseTable(make_cube([4, 4], [7] * 16))
         for kt, arr in table.tables.items():
             ext = table._valid_extents(kt)
+            assert arr.shape == ext
             assert (arr[tuple(slice(0, e) for e in ext)] == 7).all()
 
     def test_2d_full_block(self):
-        table = build_sparse_table(make_cube([2, 2], [1, 5, 3, 2]))
+        table = SparseTable(make_cube([2, 2], [1, 5, 3, 2]))
         assert table.block_value((0, 0), (1, 1)) == 1
 
     def test_extent_smaller_than_stretch(self):
         g = DimensionGrouping([0, 0], [0], [1, 4])
         with pytest.raises(ValueError, match="stretch"):
-            build_sparse_table(make_cube([2, 2], [1, 2, 3, 4]), g)
+            SparseTable(make_cube([2, 2], [1, 2, 3, 4]), g)
 
 
 class TestQuery:
     def test_1d_example(self):
-        table = build_sparse_table(make_cube([5], [3, 1, 4, 1, 5]))
-        assert rmq_query(table, QueryBox([1], [3])) == 1
+        table = SparseTable(make_cube([5], [3, 1, 4, 1, 5]))
+        assert table.query(QueryBox([1], [3])) == 1
 
     def test_single_cell(self):
         cube = make_cube([3, 2], [4, -1, 0, 9, 2, 2])
-        table = build_sparse_table(cube)
+        table = SparseTable(cube)
         for coords in QueryBox.full(cube.dims).coords():
-            assert rmq_query(table, QueryBox.cell(coords)) == cube.cell(coords)
+            assert table.query(QueryBox.cell(coords)) == cube.cell(coords)
 
     def test_2d_one_group(self):
         grouping = DimensionGrouping([0, 0], [0], [1, 1])
-        table = build_sparse_table(make_cube([2, 2], [1, 5, 3, 2]), grouping)
-        assert rmq_query(table, QueryBox([0, 0], [1, 1])) == 1
+        table = SparseTable(make_cube([2, 2], [1, 5, 3, 2]), grouping)
+        assert table.query(QueryBox([0, 0], [1, 1])) == 1
 
     def test_shape_constraint_enforced(self):
         grouping = DimensionGrouping([0, 0], [0], [1, 2])
-        table = build_sparse_table(make_cube([4, 4], range(16)), grouping)
+        table = SparseTable(make_cube([4, 4], range(16)), grouping)
         with pytest.raises(ValueError, match="shape"):
-            rmq_query(table, QueryBox([0, 0], [1, 1]))  # lengths (2, 2) != (2, 4)
+            table.query(QueryBox([0, 0], [1, 1]))  # lengths (2, 2) != (2, 4)
 
     def test_out_of_bounds(self):
-        table = build_sparse_table(make_cube([4], [1, 2, 3, 4]))
+        table = SparseTable(make_cube([4], [1, 2, 3, 4]))
         with pytest.raises(IndexError):
-            rmq_query(table, QueryBox([2], [4]))
+            table.query(QueryBox([2], [4]))
 
     def test_lookup_counter(self):
         rng = random.Random(3)
         cube = random_cube(rng, d=3, max_extent=5)
-        table = build_sparse_table(cube)
+        table = SparseTable(cube)
         for _ in range(30):
             lo = [rng.randint(0, m - 1) for m in cube.dims]
             hi = [rng.randint(a, m - 1) for a, m in zip(lo, cube.dims)]
-            rmq_query(table, QueryBox(lo, hi))
+            table.query(QueryBox(lo, hi))
             assert table.lookups_last_query <= 2 ** cube.ndim
 
     def test_block_query_idempotence(self):
         """A box that coincides with one precomputed block returns its entry."""
         cube = make_cube([8, 6], [((i * 37) ^ (j * 11)) % 50 for i in range(8) for j in range(6)])
-        table = build_sparse_table(cube)
+        table = SparseTable(cube)
         for kt, arr in table.tables.items():
             ext = table._valid_extents(kt)
             for anchor in ((0,) * cube.ndim, tuple(e - 1 for e in ext)):
@@ -114,7 +113,7 @@ class TestQuery:
                     anchor,
                     [a + table._block_len(j, kt) - 1 for j, a in enumerate(anchor)],
                 )
-                assert rmq_query(table, box) == table.block_value(anchor, kt)
+                assert table.query(box) == table.block_value(anchor, kt)
 
 
 class TestOracle:
@@ -125,8 +124,8 @@ class TestOracle:
         for _ in range(100):
             d = rng.randint(1, 3)
             cube = random_cube(rng, d=d, max_extent=extent_cap[d])
-            tmin = build_sparse_table(cube, mode="min")
-            tmax = build_sparse_table(cube, mode="max")
+            tmin = SparseTable(cube, mode="min")
+            tmax = SparseTable(cube, mode="max")
             for box in constrained_boxes(cube.dims, tmin.grouping):
                 assert tmin.query(box) == brute_force_range(cube, box, MIN)
                 assert tmax.query(box) == brute_force_range(cube, box, MAX)
@@ -137,7 +136,7 @@ class TestOracle:
         for _ in range(10):
             dims = [rng.randint(2, 8), rng.randint(2, 8)]
             cube = make_cube(dims, [rng.randint(-50, 50) for _ in range(math.prod(dims))])
-            table = build_sparse_table(cube, grouping)
+            table = SparseTable(cube, grouping)
             for box in constrained_boxes(cube.dims, grouping):
                 assert table.query(box) == brute_force_range(cube, box, MIN)
 
@@ -145,8 +144,8 @@ class TestOracle:
         rng = random.Random(29)
         cube = random_cube(rng, d=2)
         neg = make_cube(cube.dims, [-v for v in cube.flat()])
-        tmax = build_sparse_table(cube, mode="max")
-        tmin_neg = build_sparse_table(neg, mode="min")
+        tmax = SparseTable(cube, mode="max")
+        tmin_neg = SparseTable(neg, mode="min")
         for box in constrained_boxes(cube.dims, tmax.grouping):
             assert tmax.query(box) == -tmin_neg.query(box)
 
@@ -181,8 +180,8 @@ class TestBaseCase:
         for _ in range(5):
             dims = [rng.randint(2, 6), rng.randint(2, 8)]
             cube = make_cube(dims, [rng.randint(-50, 50) for _ in range(math.prod(dims))])
-            scan = build_sparse_table(cube, g, base_scan_limit=64)
-            recur = build_sparse_table(cube, g, base_scan_limit=1)
+            scan = SparseTable(cube, g, base_scan_limit=64)
+            recur = SparseTable(cube, g, base_scan_limit=1)
             for kt in scan.tables:
                 assert np.array_equal(scan.tables[kt], recur.tables[kt])
 
@@ -192,8 +191,8 @@ class TestBaseCase:
         g = DimensionGrouping([0, 0, 0], [0], [1, 2, 3])
         dims = [3, 5, 7]
         cube = make_cube(dims, [rng.randint(-50, 50) for _ in range(math.prod(dims))])
-        scan = build_sparse_table(cube, g, base_scan_limit=64)
-        recur = build_sparse_table(cube, g, base_scan_limit=1)
+        scan = SparseTable(cube, g, base_scan_limit=64)
+        recur = SparseTable(cube, g, base_scan_limit=1)
         for kt in scan.tables:
             assert np.array_equal(scan.tables[kt], recur.tables[kt])
         for box in constrained_boxes(cube.dims, g):
@@ -205,8 +204,8 @@ class TestDifferential:
         rng = random.Random(41)
         for _ in range(8):
             cube = random_cube(rng, d=rng.randint(1, 2), max_extent=16)
-            fast = build_sparse_table(cube)
-            full = build_sparse_table(cube, full_recurrence=True)
+            fast = SparseTable(cube)
+            full = SparseTable(cube, full_recurrence=True)
             assert fast.tables.keys() == full.tables.keys()
             for kt in fast.tables:
                 assert np.array_equal(fast.tables[kt], full.tables[kt])
@@ -214,8 +213,8 @@ class TestDifferential:
     def test_full_recurrence_grouped(self):
         grouping = DimensionGrouping([0, 0], [0], [1, 2])
         cube = make_cube([6, 12], [((i * 13 + j * 7) % 23) - 11 for i in range(6) for j in range(12)])
-        fast = build_sparse_table(cube, grouping)
-        full = build_sparse_table(cube, grouping, full_recurrence=True)
+        fast = SparseTable(cube, grouping)
+        full = SparseTable(cube, grouping, full_recurrence=True)
         for kt in fast.tables:
             assert np.array_equal(fast.tables[kt], full.tables[kt])
         for box in constrained_boxes(cube.dims, grouping):
