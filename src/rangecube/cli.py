@@ -278,7 +278,7 @@ def _build_prefix(o, data_path, oracle):
 
 def _updatable(cube, op, structure, oracle):
     # The oracle scans its own copy of the cube, updated in step with the structure.
-    twin = make_cube(cube.dims, cube.flat(), kind=cube.kind) if oracle else None
+    twin = make_cube(cube.dims, cube.values, kind=cube.kind) if oracle else None
     return _BoxReads(
         cube, op, structure.range_query, lambda: structure.cells_touched_last_query, twin,
         structure,

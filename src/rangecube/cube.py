@@ -93,6 +93,52 @@ _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 
 
+#: numpy dtype of each cube kind.
+_KIND_DTYPES = {"int": np.int64, "float": np.float64}
+
+#: Cube kind of each numpy dtype kind that converts with one ``astype``.
+_DTYPE_KINDS = {"i": "int", "u": "int", "f": "float", "b": "float"}
+
+
+def _first_misfit(flat) -> None:
+    """Raise the range error for the first value of ``flat`` outside int64."""
+    for v in flat:
+        if not _INT64_MIN <= int(v) <= _INT64_MAX:
+            raise ValueError(f"value {v} does not fit a 64-bit signed integer")
+
+
+def _convert_list(flat: list, kind: Optional[str]) -> np.ndarray:
+    """A flat int64/float64 array of ``int(v)`` or ``float(v)`` of every value.
+
+    Without a requested kind, a list of ints makes an int cube and any other
+    list a float cube.
+    """
+    if kind is None:
+        kind = "int" if all(isinstance(v, (int, np.integer)) for v in flat) else "float"
+    if kind == "int":
+        _first_misfit(flat)
+        return np.array([int(v) for v in flat], dtype=np.int64)
+    if kind == "float":
+        return np.array([float(v) for v in flat], dtype=np.float64)
+    raise ValueError(f"unknown cube kind {kind!r}")
+
+
+def _convert_array(values: np.ndarray, kind: Optional[str]) -> np.ndarray:
+    """A C-ordered int64/float64 copy of ``values``, converted by dtype.
+
+    Integer dtypes make an int cube, float and bool dtypes a float cube, with
+    one ``astype`` copy and, for uint64, one vectorised bound check.  Other
+    dtypes, and a requested kind other than the dtype's own, convert as the
+    list of their values would.
+    """
+    natural = _DTYPE_KINDS.get(values.dtype.kind)
+    if natural is None or kind not in (None, natural):
+        return _convert_list(list(values.reshape(-1)), kind)
+    if values.dtype == np.uint64 and values.max() > _INT64_MAX:
+        _first_misfit(values.reshape(-1))
+    return values.astype(_KIND_DTYPES[natural], order="C")
+
+
 class DataCube:
     """Dense d-dimensional array of int64 or float64 values.
 
@@ -116,26 +162,19 @@ class DataCube:
         if any(m < 1 for m in dims):
             raise ValueError(f"all extents must be >= 1, got {dims}")
         ncells = math.prod(dims)
-        if isinstance(values, np.ndarray) and values.shape == dims:
-            flat = values.reshape(-1)
+        if isinstance(values, np.ndarray) and (values.shape == dims or values.ndim == 1):
+            if values.size != ncells:
+                raise ValueError(
+                    f"value count {values.size} does not match extent product {ncells}"
+                )
+            arr = _convert_array(values.reshape(dims), kind)
         else:
             flat = list(values)
             if len(flat) != ncells:
                 raise ValueError(
                     f"value count {len(flat)} does not match extent product {ncells}"
                 )
-        if kind is None:
-            kind = "int" if all(isinstance(v, (int, np.integer)) for v in flat) else "float"
-        if kind == "int":
-            for v in flat:
-                iv = int(v)
-                if not _INT64_MIN <= iv <= _INT64_MAX:
-                    raise ValueError(f"value {v} does not fit a 64-bit signed integer")
-            arr = np.array([int(v) for v in flat], dtype=np.int64)
-        elif kind == "float":
-            arr = np.array([float(v) for v in flat], dtype=np.float64)
-        else:
-            raise ValueError(f"unknown cube kind {kind!r}")
+            arr = _convert_list(flat, kind)
         self.dims = dims
         self.values = arr.reshape(dims)
 
@@ -273,6 +312,13 @@ _CORNERS = tuple(
 )
 
 
+def _check_underflow(op: AggregateOp, *folds) -> None:
+    """Reject a zero product fold: product tables hold no zero cell, so a zero
+    means a prefix product underflowed."""
+    if op.name == "product" and 0 in folds:
+        raise ValueError("product underflow: a prefix product rounded to zero")
+
+
 def _inclusion_exclusion(op: AggregateOp, lo: Sequence[int], hi: Sequence[int], lookup):
     """Aggregate over the box ``[lo, hi]`` from its ``2**d`` prefix corners.
 
@@ -280,8 +326,7 @@ def _inclusion_exclusion(op: AggregateOp, lo: Sequence[int], hi: Sequence[int], 
     called only for corners with no ``-1`` coordinate (an empty prefix, whose
     value is the identity).  The even- and odd-parity corners are folded
     separately and joined by one inverse, which keeps integer division exact
-    for product.  Product tables hold no zero cell, so a zero fold means a
-    prefix underflowed and the box product cannot be divided back out.
+    for product; a fold that underflowed to zero cannot be divided back out.
     """
     keep = drop = op.identity
     for low, even in _CORNERS[len(lo)]:
@@ -292,8 +337,7 @@ def _inclusion_exclusion(op: AggregateOp, lo: Sequence[int], hi: Sequence[int], 
             keep = op.combine(keep, lookup(corner))
         else:
             drop = op.combine(drop, lookup(corner))
-    if op.name == "product" and (keep == 0 or drop == 0):
-        raise ValueError("product underflow: a prefix product rounded to zero")
+    _check_underflow(op, keep, drop)
     return op.inverse(keep, drop)
 
 

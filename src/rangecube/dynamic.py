@@ -34,7 +34,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cube import AggregateOp, DataCube, QueryBox, _check_table_domain, _inclusion_exclusion
+from .cube import (
+    AggregateOp,
+    DataCube,
+    QueryBox,
+    _check_table_domain,
+    _check_underflow,
+    _inclusion_exclusion,
+)
 
 __all__ = [
     "FenwickCube",
@@ -185,7 +192,9 @@ class _AxisProductTable:
 
     def prefix_query(self, b):
         """Aggregate over the prefix box ``[0..b[0]] x ... x [0..b[d-1]]``."""
-        return self._prefix(_check_coords(b, self.dims))
+        value = self._prefix(_check_coords(b, self.dims))
+        _check_underflow(self.op, value)
+        return value
 
     def _prefix(self, b: tuple):
         axes = [s.query_indices(c) for s, c in zip(self._schemes, b)]

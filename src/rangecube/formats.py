@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from .cube import DataCube, make_cube
 
 __all__ = [
@@ -27,62 +29,76 @@ __all__ = [
 ]
 
 
-class _Tokens:
-    """Whitespace tokens annotated with line numbers for error reporting."""
+def _line_of(text: str, index: int) -> int:
+    """Line number of the ``index``-th whitespace token of ``text`` (0-based)."""
+    seen = 0
+    for lineno, line in enumerate(text.splitlines(), 1):
+        seen += len(line.split())
+        if seen > index:
+            return lineno
 
-    def __init__(self, text: str):
-        self.items = [
-            (lineno, tok)
-            for lineno, line in enumerate(text.splitlines(), 1)
-            for tok in line.split()
-        ]
-        self.pos = 0
 
-    def next(self, what: str) -> tuple:
-        if self.pos >= len(self.items):
-            raise ValueError(f"unexpected end of file: expected {what}")
-        item = self.items[self.pos]
-        self.pos += 1
-        return item
+def _bad_value(text: str, tokens: list, start: int, kind: str) -> list:
+    """Convert the values one at a time and name the first that is not a ``kind``.
 
-    def next_int(self, what: str) -> int:
-        lineno, tok = self.next(what)
+    Runs only when the vectorised conversion failed.  If every token parses,
+    the values come back as Python numbers, so the cube's own range check
+    names the first int that does not fit 64 bits.
+    """
+    convert = int if kind == "int" else float
+    values = []
+    for i, tok in enumerate(tokens):
         try:
-            return int(tok)
-        except ValueError:
-            raise ValueError(f"line {lineno}: expected {what}, got {tok!r}") from None
-
-    def next_value(self, kind: str, index: int):
-        lineno, tok = self.next(f"value {index + 1}")
-        try:
-            return int(tok) if kind == "int" else float(tok)
+            values.append(convert(tok))
         except ValueError:
             raise ValueError(
-                f"line {lineno}: value {index + 1} is not a valid {kind}: {tok!r}"
+                f"line {_line_of(text, start + i)}: value {i + 1} is not a valid {kind}: {tok!r}"
             ) from None
-
-    def expect_end(self):
-        if self.pos < len(self.items):
-            lineno, tok = self.items[self.pos]
-            raise ValueError(f"line {lineno}: trailing token {tok!r} after all values")
+    return values
 
 
 def parse_cube_text(text: str) -> DataCube:
-    tokens = _Tokens(text)
-    ndim = tokens.next_int("dimension count")
+    tokens = text.split()
+
+    def header(i: int, what: str) -> str:
+        if i >= len(tokens):
+            raise ValueError(f"unexpected end of file: expected {what}")
+        return tokens[i]
+
+    def header_int(i: int, what: str) -> int:
+        tok = header(i, what)
+        try:
+            return int(tok)
+        except ValueError:
+            raise ValueError(f"line {_line_of(text, i)}: expected {what}, got {tok!r}") from None
+
+    ndim = header_int(0, "dimension count")
     if ndim < 1:
         raise ValueError(f"dimension count must be >= 1, got {ndim}")
-    dims = [tokens.next_int(f"extent of dimension {j}") for j in range(ndim)]
-    lineno, kind = tokens.next("value kind ('int' or 'float')")
+    dims = [header_int(1 + j, f"extent of dimension {j}") for j in range(ndim)]
+    kind = header(ndim + 1, "value kind ('int' or 'float')")
     if kind not in ("int", "float"):
-        raise ValueError(f"line {lineno}: value kind must be 'int' or 'float', got {kind!r}")
+        raise ValueError(
+            f"line {_line_of(text, ndim + 1)}: value kind must be 'int' or 'float', got {kind!r}"
+        )
     count = 1
     for m in dims:
         if m < 1:
             raise ValueError(f"all extents must be >= 1, got {dims}")
         count *= m
-    values = [tokens.next_value(kind, i) for i in range(count)]
-    tokens.expect_end()
+    start = ndim + 2
+    body = tokens[start : start + count]
+    try:
+        values = np.array(body, dtype=np.int64 if kind == "int" else np.float64)
+    except (ValueError, OverflowError):
+        values = _bad_value(text, body, start, kind)
+    if len(body) < count:
+        raise ValueError(f"unexpected end of file: expected value {len(body) + 1}")
+    if len(tokens) > start + count:
+        raise ValueError(
+            f"line {_line_of(text, start + count)}: trailing token {tokens[start + count]!r} "
+            "after all values"
+        )
     return make_cube(dims, values, kind=kind)
 
 

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -69,6 +70,66 @@ class TestMakeCube:
     def test_int64_range_enforced(self):
         with pytest.raises(ValueError, match="64-bit"):
             make_cube([1], [1 << 63])
+        with pytest.raises(ValueError, match="value -9223372036854775809 does not fit"):
+            make_cube([2], [1, -(1 << 63) - 1])
+        with pytest.raises(ValueError, match="value 9223372036854775808 does not fit"):
+            make_cube([2], np.array([1, 1 << 63], dtype=np.uint64))
+        with pytest.raises(ValueError, match=f"value {1 << 70} does not fit"):
+            make_cube([2], np.array([1, 1 << 70], dtype=object))
+        for source in ([np.uint64(1 << 63)], np.array([np.uint64(1 << 63)], dtype=object)):
+            with pytest.raises(ValueError, match="value 9223372036854775808 does not fit"):
+                make_cube([1], source)
+
+    @pytest.mark.parametrize(
+        "source, kind, expected",
+        [
+            (np.array([-128, 0, 127], dtype=np.int8), "int", [-128, 0, 127]),
+            (np.array([-(2**31), 0, 2**31 - 1], dtype=np.int32), "int", [-(2**31), 0, 2**31 - 1]),
+            (np.array([-(2**63), 0, 2**63 - 1], dtype=np.int64), "int", [-(2**63), 0, 2**63 - 1]),
+            (np.array([0, 1, 2**63 - 1], dtype=np.uint64), "int", [0, 1, 2**63 - 1]),
+            (np.array([0.1, -2.5, np.inf], dtype=np.float32), "float",
+             [float(np.float32(0.1)), -2.5, math.inf]),
+            (np.array([0.1, -0.0, 5e-324], dtype=np.float64), "float", [0.1, -0.0, 5e-324]),
+            (np.array([True, False, True]), "float", [1.0, 0.0, 1.0]),
+            (np.array([1, 2.5, "3"], dtype=object), "float", [1.0, 2.5, 3.0]),
+        ],
+        ids=["int8", "int32", "int64", "uint64", "float32", "float64", "bool", "object"],
+    )
+    def test_ndarray_kind_follows_dtype(self, source, kind, expected):
+        cube = make_cube([3], source)
+        assert cube.kind == kind
+        assert cube.flat() == expected
+        assert [math.copysign(1, v) for v in cube.flat()] == [
+            math.copysign(1, v) for v in expected
+        ]
+        # The cube holds a copy: changing the source afterwards leaves it alone.
+        source[0] = source[1]
+        assert cube.flat() == expected
+
+    def test_ndarray_explicit_kind_converts_each_value(self):
+        # int() truncates toward zero, as for a list; NaN has no int.
+        assert make_cube([2], np.array([1.7, -1.7]), kind="int").flat() == [1, -1]
+        assert make_cube([2], np.array([3, 4]), kind="float").flat() == [3.0, 4.0]
+        with pytest.raises(ValueError, match="NaN"):
+            make_cube([1], np.array([np.nan]), kind="int")
+
+    def test_ndarray_reshaped_to_dims(self):
+        source = np.arange(6).reshape(3, 2).T
+        cube = make_cube([2, 3], source)
+        assert cube.values.flags.c_contiguous
+        assert cube.flat() == [0, 2, 4, 1, 3, 5]
+        assert make_cube([2, 3], np.arange(6)).flat() == list(range(6))
+        with pytest.raises(ValueError, match="value count 5"):
+            make_cube([2, 3], np.arange(5))
+
+    def test_list_kind_inferred_per_value(self):
+        assert make_cube([3], [True, 2, np.int8(3)]).kind == "int"
+        # Never let numpy infer: an int past 2**63 stays an error, not a float.
+        with pytest.raises(ValueError, match="does not fit"):
+            make_cube([2], [1, 2**63])
+        assert make_cube([2], [2**63, 0.5]).flat() == [2.0**63, 0.5]
+        with pytest.raises(TypeError):
+            make_cube([2], [None, 1.5])
 
 
 class TestQueryBox:

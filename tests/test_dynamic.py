@@ -271,7 +271,11 @@ class TestCrossStructure:
         for box in (QueryBox([2], [2]), QueryBox([1], [1])):
             with pytest.raises(ValueError, match="underflow"):
                 structure.range_query(box)
+        for b in ([1], [2]):
+            with pytest.raises(ValueError, match="underflow"):
+                structure.prefix_query(b)
         assert structure.range_query(QueryBox([0], [0])) == 1e-200
+        assert structure.prefix_query([0]) == 1e-200
 
     @pytest.mark.parametrize("name", sorted(STRUCTURES))
     def test_xor_rejects_float_cube(self, name):

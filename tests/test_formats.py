@@ -1,6 +1,8 @@
 """Tests for the cube text format and number-line files."""
 
+import math
 import random
+import struct
 
 import pytest
 
@@ -49,6 +51,52 @@ class TestParseCube:
         a = parse_cube_text("2\n2 2\nint\n1 2 3 4\n")
         b = parse_cube_text("2 2 2 int 1\n2\n3\n   4")
         assert a.flat() == b.flat()
+
+
+#: (cube file, the exact message it is rejected with)
+ERROR_CORPUS = [
+    ("1\n3\nint\n1 2\n", "unexpected end of file: expected value 3"),
+    ("1\n2\nint\n", "unexpected end of file: expected value 1"),
+    ("1\n2\nint\n1 2 3\n", "line 4: trailing token '3' after all values"),
+    ("1\r\n1\r\nint\r\n1\r\n\r\n\t2\r\n", "line 6: trailing token '2' after all values"),
+    ("2\n2 2\nint\n1 2\nzap 4\n", "line 5: value 3 is not a valid int: 'zap'"),
+    ("1\n3\nint\n1\n2.5 3\n", "line 5: value 2 is not a valid int: '2.5'"),
+    ("1\n2\nfloat\n1.5 0x1p3\n", "line 4: value 2 is not a valid float: '0x1p3'"),
+    # A bad token is named before a short file, a trailing token or an overflow.
+    ("1\n3\nint\n99999999999999999999 zap\n", "line 4: value 2 is not a valid int: 'zap'"),
+    ("1\n1\nint\n9223372036854775808\n",
+     "value 9223372036854775808 does not fit a 64-bit signed integer"),
+    ("1\n2\nint\n0 -9223372036854775809\n",
+     "value -9223372036854775809 does not fit a 64-bit signed integer"),
+    ("1\n1\nint\n9223372036854775808 7\n", "line 4: trailing token '7' after all values"),
+]
+
+
+class TestCubeFileEdges:
+    @pytest.mark.parametrize("text, message", ERROR_CORPUS)
+    def test_rejected_with_exact_message(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_cube_text(text)
+        assert str(info.value) == message
+
+    def test_int64_edges_and_int_syntax(self):
+        text = "1\n6\nint\n9223372036854775807 -9223372036854775807 -9223372036854775808\n"
+        cube = parse_cube_text(text + "1_000 \u0661\u0662 +5\n")
+        assert cube.kind == "int"
+        assert cube.flat() == [2**63 - 1, -(2**63 - 1), -(2**63), 1000, 12, 5]
+
+    def test_crlf_and_tabs(self):
+        cube = parse_cube_text("2\r\n2\t2\r\nint\r\n1\t2\r\n\t3 \t4\r\n")
+        assert cube.dims == (2, 2)
+        assert cube.flat() == [1, 2, 3, 4]
+
+    def test_floats_bit_identical_to_float(self):
+        tokens = ["nan", "-inf", "-0.0", "5e-324", "1e400", "0.1", "1_000.5", "2.2250738585072014e-308"]
+        cube = parse_cube_text(f"1\n{len(tokens)}\nfloat\n" + "\t".join(tokens) + "\r\n")
+        bits = [struct.pack("<d", v) for v in cube.flat()]
+        assert bits == [struct.pack("<d", float(tok)) for tok in tokens]
+        assert math.copysign(1.0, cube.cell((2,))) == -1.0
+        assert cube.cell((4,)) == math.inf
 
 
 class TestRoundTrip:
