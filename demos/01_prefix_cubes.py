@@ -7,6 +7,8 @@ table lookups, however large the slice.
 
 import random
 
+import numpy as np
+
 from rangecube import (
     PrefixCube,
     QueryBox,
@@ -36,6 +38,14 @@ print(f"regions 1..3, months 3..5 -> {total} units "
 # The cell-by-cell scan agrees, it just visits every cell in the box.
 assert total == brute_force_range(sales, box, SUM)
 print("matches the brute-force scan, cell for cell")
+
+# Many boxes at once: one gather per corner answers every row of lo/hi.
+quarters = [QueryBox([0, q], [regions - 1, q + 2]) for q in range(0, months, 3)]
+lo = np.array([b.lo for b in quarters])
+hi = np.array([b.hi for b in quarters])
+totals = pc.range_aggregate_many(lo, hi).tolist()
+assert totals == [pc.range_aggregate(b) for b in quarters]
+print(f"all regions, quarter by quarter -> {totals}")
 
 # Any invertible operator works the same way; xor is its own inverse.
 tags = make_cube([4, 4], [rng.getrandbits(16) for _ in range(16)])

@@ -27,6 +27,12 @@ print(f"latencies in rows 2..6, cols 1..8: min={lo} max={hi} "
 assert lo == brute_force_range(latency, box, MIN)
 assert hi == brute_force_range(latency, box, MAX)
 
+# Many boxes at once: boxes are grouped by block level, one gather per corner.
+rowwise = [QueryBox([r, 0], [r, cols - 1]) for r in range(rows)]
+fastest = tmin.query_many([b.lo for b in rowwise], [b.hi for b in rowwise]).tolist()
+assert fastest == [tmin.query(b) for b in rowwise]
+print(f"fastest latency of each row: {fastest}")
+
 # -- grouped dimensions ------------------------------------------------------
 # Queries whose side lengths are tied together need far less table memory.
 # Here dimension 1's query length is always twice dimension 0's: one group,

@@ -21,7 +21,12 @@ Four commands:
   With ``--oracle`` every answer is cross-checked against the brute-force
   reference (scan, naive DP or sort-all) and the first mismatch aborts.
   Each structure is one ``_STRUCTURES`` entry (options, a build step, a
-  handler per verb) run by the one loop in :func:`run_script`.
+  handler per verb, optionally a batched handler) run by the one loop in
+  :func:`run_script`.  That loop answers each run of reads between
+  ``update`` lines with one batched read when the structure has one
+  (``prefix`` and ``rmq``, whose whole script is one run); output, counters,
+  error messages and oracle checks stay those of one read at a time.  Sum
+  updates on int cubes keep every cell within the load-time overflow bound.
 
 * ``bench`` — deterministic touched-cell statistics for hybrid parameter
   sweeps against the predicted bounds.
@@ -38,12 +43,15 @@ mode, no mismatches.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import random
 import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
+
+import numpy as np
 
 from .cube import (
     MAX_DIMENSIONS,
@@ -231,14 +239,15 @@ def _structure_options(spec: dict, options: dict) -> dict:
     return values
 
 
+_OVERFLOW_RISK = "overflow risk: |value| * cell count must stay below 2**62 for sum cubes"
+
+
 def _check_cube_op(cube: DataCube, op):
     if op.name == "sum" and cube.kind == "int":
         # Python ints, so the peak of -2**63 is exact (np.abs would wrap).
         peak = max(int(cube.values.max()), -int(cube.values.min()))
         if peak * cube.size >= SUM_SAFE_BOUND:
-            raise CliError(
-                "overflow risk: |value| * cell count must stay below 2**62 for sum cubes"
-            )
+            raise CliError(_OVERFLOW_RISK)
     if op.name == "product" and cube.kind != "float":
         raise CliError("product structures are only offered on float cubes")
 
@@ -259,9 +268,10 @@ class _BoxReads:
     cube: DataCube
     op: object  # the aggregate the oracle folds
     read: Callable  # QueryBox -> answer
-    touched: Callable  # () -> lookups or cells of the last read
+    touched: Callable  # () -> lookups or cells of the last read (per box, after a batch)
     twin: object  # the cube the oracle scans (None for updatable ones without --oracle)
     structure: object = None  # updatable structures: the one ``update`` goes to
+    read_many: Optional[Callable] = None  # static structures: (lo, hi) N x d arrays -> answers
 
 
 def _load_table_cube(data_path, op) -> DataCube:
@@ -273,7 +283,10 @@ def _load_table_cube(data_path, op) -> DataCube:
 def _build_prefix(o, data_path, oracle):
     cube = _load_table_cube(data_path, o["op"])
     pc = PrefixCube(cube, o["op"])
-    return _BoxReads(cube, o["op"], pc.range_aggregate, lambda: pc.lookups_last_query, cube)
+    return _BoxReads(
+        cube, o["op"], pc.range_aggregate, lambda: pc.lookups_last_query, cube,
+        read_many=pc.range_aggregate_many,
+    )
 
 
 def _updatable(cube, op, structure, oracle):
@@ -298,7 +311,10 @@ def _build_hybrid(o, data_path, oracle):
 def _build_rmq(o, data_path, oracle):
     cube = load_cube(data_path)
     table = SparseTable(cube, mode=o["mode"])
-    return _BoxReads(cube, OPS[o["mode"]], table.query, lambda: table.lookups_last_query, cube)
+    return _BoxReads(
+        cube, OPS[o["mode"]], table.query, lambda: table.lookups_last_query, cube,
+        read_many=table.query_many,
+    )
 
 
 def _build_median(o, data_path, oracle):
@@ -337,6 +353,41 @@ def _box_read(s: _BoxReads, cmd, oracle):
     return _Answer((value,), value, s.touched(), expected)
 
 
+def _box_arrays(run, d: int):
+    """The boxes a run of box reads names, as N x d int64 ``lo`` and ``hi``
+    arrays (``prefix b`` names ``[0, b]``).
+
+    Raises ValueError or OverflowError on any bad argument without naming its
+    line; the caller then re-runs the commands one at a time through ``_box``.
+    """
+    prefix = np.array([cmd.verb == "prefix" for cmd in run])
+    lo = np.zeros((len(run), d), dtype=np.int64)
+    hi = np.zeros((len(run), d), dtype=np.int64)
+    for rows, width in ((prefix, d), (~prefix, 2 * d)):
+        group = [cmd for cmd, row in zip(run, rows) if row]
+        if any(len(cmd.args) != width for cmd in group):
+            raise ValueError("wrong argument count")
+        tokens = (int(a) for cmd in group for a in cmd.args)
+        coords = np.fromiter(tokens, np.int64, len(group) * width).reshape(len(group), width)
+        if width == d:
+            hi[rows] = coords
+        else:
+            lo[rows], hi[rows] = coords[:, 0::2], coords[:, 1::2]
+    return lo, hi
+
+
+def _box_reads(s: _BoxReads, run, oracle):
+    """The answers of a run of box reads, from one batched read."""
+    lo, hi = _box_arrays(run, s.cube.ndim)
+    values = s.read_many(lo, hi).tolist()
+    touched = s.touched()
+    expected = [None] * len(run)
+    if oracle:
+        boxes = zip(lo.tolist(), hi.tolist())
+        expected = [brute_force_range(s.twin, QueryBox(a, b), s.op) for a, b in boxes]
+    return (_Answer((v,), v, touched, e) for v, e in zip(values, expected))
+
+
 def _box_update(s: _BoxReads, cmd, oracle):
     d = s.cube.ndim
     if len(cmd.args) != d + 1:
@@ -346,6 +397,10 @@ def _box_update(s: _BoxReads, cmd, oracle):
         delta = _number(cmd.args[-1], s.cube.kind)
     except ValueError:
         raise ValueError(f"bad update arguments {cmd.raw!r}") from None
+    if s.op.name == "sum" and s.cube.kind == "int":
+        # Every cell kept within the load-time bound keeps every sum in int64.
+        if abs(s.structure.point_read(coords) + delta) * s.cube.size >= SUM_SAFE_BOUND:
+            raise ValueError(_OVERFLOW_RISK)
     s.structure.update(coords, delta)
     if oracle:
         s.twin.values[coords] = s.op.combine(s.twin.values[coords].item(), delta)
@@ -443,6 +498,7 @@ class _Structure:
     options: dict  # option key -> converter of its text (None when absent)
     build: Callable  # (options, data path, oracle) -> state for the handlers
     verbs: dict  # verb -> (handler(state, cmd, oracle) -> _Answer, counter key)
+    batch: Optional[Callable] = None  # (state, run of reads, oracle) -> their _Answers in order
 
 
 _DYNAMIC_VERBS = {
@@ -456,12 +512,15 @@ _STRUCTURES = {
         {"op": _op_option},
         _build_prefix,
         {"query": (_box_read, "prefix_lookups_max"), "prefix": (_box_read, "prefix_lookups_max")},
+        _box_reads,
     ),
     "fenwick": _Structure({"op": _op_option}, _build_fenwick, _DYNAMIC_VERBS),
     "hybrid": _Structure(
         {"op": _op_option, "k": _int_option, "q": _int_option}, _build_hybrid, _DYNAMIC_VERBS
     ),
-    "rmq": _Structure({"mode": _mode_option}, _build_rmq, {"rmq": (_box_read, "rmq_lookups_max")}),
+    "rmq": _Structure(
+        {"mode": _mode_option}, _build_rmq, {"rmq": (_box_read, "rmq_lookups_max")}, _box_reads
+    ),
     "median": _Structure(
         {"scales": _scales_option},
         _build_median,
@@ -508,22 +567,43 @@ def run_script(data_path, struct_spec: str, script_path, oracle: bool = False, o
             )
     state = entry.build(_structure_options(entry.options, options), data_path, oracle)
     stats = _Stats()
-    for cmd in commands:
-        handler, counter = entry.verbs[cmd.verb]
-        try:
-            answer = handler(state, cmd, oracle)
-        except (ValueError, IndexError) as exc:
-            raise CliError(f"line {cmd.lineno}: {exc}") from None
-        stats.record(counter, answer.counter)
-        if cmd.verb == "update":
-            stats.updates += 1
-            continue
-        stats.queries += 1
-        if oracle:
-            _oracle_check(cmd, answer.got, answer.expected, answer.tol)
-        out.append(_line(answer))
+    # Updates are barriers: each run of reads between them is answered together.
+    for _, run in itertools.groupby(commands, key=lambda cmd: cmd.verb == "update"):
+        for cmd, answer in _answers(entry, state, list(run), oracle):
+            stats.record(entry.verbs[cmd.verb][1], answer.counter)
+            if cmd.verb == "update":
+                stats.updates += 1
+                continue
+            stats.queries += 1
+            if oracle:
+                _oracle_check(cmd, answer.got, answer.expected, answer.tol)
+            out.append(_line(answer))
     out.extend(stats.lines())
     return out
+
+
+def _answers(entry: _Structure, state, run: list, oracle: bool):
+    """``(command, answer)`` for each command of a run of reads or of updates.
+
+    A structure with a batched handler answers a run of reads in one call.
+    Otherwise, or if that call raises, each command goes through its verb's
+    handler in order, so the first bad line raises its own message after the
+    oracle has checked the lines before it.
+    """
+    if entry.batch is not None and len(run) > 1 and run[0].verb != "update":
+        try:
+            return zip(run, entry.batch(state, run, oracle))
+        except (ValueError, IndexError, OverflowError):
+            pass
+    return ((cmd, _answer(entry, state, cmd, oracle)) for cmd in run)
+
+
+def _answer(entry: _Structure, state, cmd: ScriptCommand, oracle: bool) -> _Answer:
+    handler = entry.verbs[cmd.verb][0]
+    try:
+        return handler(state, cmd, oracle)
+    except (ValueError, IndexError) as exc:
+        raise CliError(f"line {cmd.lineno}: {exc}") from None
 
 
 # -- bench -------------------------------------------------------------------

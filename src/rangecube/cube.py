@@ -56,7 +56,8 @@ class AggregateOp:
     ``inverse`` undoes one combine: ``inverse(combine(x, y), y) == x``.  It is
     defined for sum and xor, and for product over nonzero operands; min/max
     carry ``inverse=None`` and are rejected by every structure that needs
-    deletion.  ``ufunc`` is the numpy twin used for vectorised builds.
+    deletion.  ``ufunc`` is the numpy twin used for vectorised builds and
+    ``inverse_ufunc`` the twin of ``inverse`` used for batched reads.
     """
 
     name: str
@@ -64,6 +65,7 @@ class AggregateOp:
     combine: Callable
     inverse: Optional[Callable]
     ufunc: np.ufunc
+    inverse_ufunc: Optional[np.ufunc] = None
 
     @property
     def invertible(self) -> bool:
@@ -80,9 +82,9 @@ class AggregateOp:
         return f"AggregateOp({self.name})"
 
 
-SUM = AggregateOp("sum", 0, operator.add, operator.sub, np.add)
-PRODUCT = AggregateOp("product", 1, operator.mul, _exact_div, np.multiply)
-XOR = AggregateOp("xor", 0, operator.xor, operator.xor, np.bitwise_xor)
+SUM = AggregateOp("sum", 0, operator.add, operator.sub, np.add, np.subtract)
+PRODUCT = AggregateOp("product", 1, operator.mul, _exact_div, np.multiply, np.true_divide)
+XOR = AggregateOp("xor", 0, operator.xor, operator.xor, np.bitwise_xor, np.bitwise_xor)
 MIN = AggregateOp("min", math.inf, min, None, np.minimum)
 MAX = AggregateOp("max", -math.inf, max, None, np.maximum)
 
@@ -222,8 +224,15 @@ class QueryBox:
     (min/max have no safe identity in a bounded integer domain).
     """
 
+    # No per-box __dict__: callers hold boxes by the ten thousand.
+    __slots__ = ("lo", "hi")
     lo: tuple
     hi: tuple
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__; a frozen box's slots
+        # cannot be restored by plain setattr.
+        return (type(self), (self.lo, self.hi))
 
     def __init__(self, lo: Sequence[int], hi: Sequence[int]):
         lo = tuple(int(c) for c in lo)
@@ -269,6 +278,43 @@ class QueryBox:
         return tuple(slice(a, b + 1) for a, b in zip(self.lo, self.hi))
 
 
+def _first_true(mask: np.ndarray) -> tuple:
+    """(row, column) of the first True entry of a 2-D mask, row-major."""
+    return tuple(np.argwhere(mask)[0].tolist())
+
+
+def _check_boxes(lo, hi, dims: Sequence[int]) -> tuple:
+    """``lo`` and ``hi`` as N x d int64 arrays of boxes checked for ``dims``.
+
+    Each row pair is checked as :class:`QueryBox` and
+    :meth:`QueryBox.validate_for` check one box: ValueError for a wrong width,
+    a negative coordinate or ``lo > hi``, IndexError for ``hi`` past the
+    extent.  Messages name the first offending box.
+    """
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    if lo.ndim != 2 or lo.shape != hi.shape:
+        raise ValueError(
+            f"lo and hi must be N x d arrays of one shape, got {lo.shape} and {hi.shape}"
+        )
+    for a in (lo, hi):
+        if a.size and not np.can_cast(a.dtype, np.int64):
+            raise ValueError(f"box coordinates must be 64-bit integers, got dtype {a.dtype}")
+    lo, hi = lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False)
+    if lo.shape[1] != len(dims):
+        raise ValueError(f"boxes have {lo.shape[1]} dimensions, cube has {len(dims)}")
+    if (lo < 0).any():
+        i, j = _first_true(lo < 0)
+        raise ValueError(f"box {i}: negative coordinate {lo[i, j]} in dimension {j}")
+    if (lo > hi).any():
+        i, j = _first_true(lo > hi)
+        raise ValueError(f"box {i}: empty box in dimension {j}: lo {lo[i, j]} > hi {hi[i, j]}")
+    extents = np.array(dims, dtype=np.int64)
+    if (hi >= extents).any():
+        i, j = _first_true(hi >= extents)
+        raise IndexError(f"box {i}: box exceeds extent {dims[j]} in dimension {j}: hi {hi[i, j]}")
+    return lo, hi
+
+
 def brute_force_range(cube: DataCube, box: QueryBox, op: AggregateOp):
     """Fold ``op`` over every cell in the box, cell by cell.
 
@@ -312,11 +358,14 @@ _CORNERS = tuple(
 )
 
 
+_UNDERFLOW = "product underflow: a prefix product rounded to zero"
+
+
 def _check_underflow(op: AggregateOp, *folds) -> None:
     """Reject a zero product fold: product tables hold no zero cell, so a zero
     means a prefix product underflowed."""
     if op.name == "product" and 0 in folds:
-        raise ValueError("product underflow: a prefix product rounded to zero")
+        raise ValueError(_UNDERFLOW)
 
 
 def _inclusion_exclusion(op: AggregateOp, lo: Sequence[int], hi: Sequence[int], lookup):
@@ -365,3 +414,31 @@ class PrefixCube:
         # Empty-prefix corners count as lookups too.
         self.lookups_last_query = 1 << len(self.dims)
         return value
+
+    def range_aggregate_many(self, lo, hi) -> np.ndarray:
+        """Answers for the boxes ``[lo[i], hi[i]]`` of two N x d integer arrays.
+
+        One fancy-index gather per corner answers every box.  Answer ``i``
+        equals ``range_aggregate(QueryBox(lo[i], hi[i]))`` after ``.tolist()``:
+        corners fold in the same order, empty corners are skipped, and int sum
+        and xor answers wrap only where that scalar answer leaves int64.  Int
+        product tables are rejected, since their exact division needs Python
+        ints.  Afterwards :attr:`lookups_last_query` holds the per-box count.
+        """
+        op, table = self.op, self.table
+        if op.name == "product" and table.dtype.kind == "i":
+            raise ValueError("batched product reads need a float cube")
+        lo, hi = _check_boxes(lo, hi, self.dims)
+        below = lo - 1  # -1 marks an empty prefix; its gather is discarded
+        keep = np.full(len(lo), op.identity, dtype=table.dtype)
+        drop = keep.copy()
+        with np.errstate(all="ignore"):  # Python float arithmetic does not warn
+            for low, even in _CORNERS[len(self.dims)]:
+                value = table[tuple(below[:, j] if x else hi[:, j] for j, x in enumerate(low))]
+                fold = keep if even else drop
+                np.copyto(fold, op.ufunc(fold, value), where=(below[:, list(low)] >= 0).all(axis=1))
+            if op.name == "product" and not (keep.all() and drop.all()):
+                raise ValueError(_UNDERFLOW)
+            answers = op.inverse_ufunc(keep, drop)
+        self.lookups_last_query = 1 << len(self.dims) if len(lo) else 0
+        return answers

@@ -17,10 +17,13 @@ schemes, one scheme per axis:
 
 The table is built by one numpy transform per axis.  An update or a prefix
 query asks each axis's scheme for an index list and touches the Cartesian
-product of those lists, so reads and writes go through single ``np.ix_``
-fancy-index operations.  Both structures co-maintain a plain shadow copy of the
-represented cube, which makes "set cell to u" derivable from "combine cell
-with delta" and provides cheap point reads.
+product of those lists: each list becomes an ``intp`` array shaped to
+broadcast along its axis (one ``np.ix_`` factor), so reads and writes are
+single fancy-index operations.  A box query builds each axis's arrays once,
+for ``hi`` and ``lo - 1``, and reuses them across its ``2**d`` corners.
+Both structures co-maintain a plain shadow copy of the represented cube,
+which makes "set cell to u" derivable from "combine cell with delta" and
+provides cheap point reads.
 
 Min/max are not invertible and are rejected here; use the static structures.
 Product cubes must keep every cell nonzero: builds, updates and
@@ -35,6 +38,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cube import (
+    _INT64_MAX,
+    _INT64_MIN,
     AggregateOp,
     DataCube,
     QueryBox,
@@ -181,24 +186,37 @@ class _AxisProductTable:
         """Combine the represented cell at ``coords`` with ``delta``."""
         coords = _check_coords(coords, self.dims)
         op = self.op
+        if self.table.dtype.kind == "i" and not _INT64_MIN <= delta <= _INT64_MAX:
+            raise ValueError(f"delta {delta} does not fit a 64-bit signed integer")
         value = op.combine(self.shadow[coords].item(), delta)
         if op.name == "product" and value == 0:
             raise ValueError(f"product update would set cell {coords} to zero")
+        if self.table.dtype.kind == "i" and not _INT64_MIN <= value <= _INT64_MAX:
+            raise ValueError(f"update would set cell {coords} to {value}, outside int64")
         axes = [s.update_indices(c) for s, c in zip(self._schemes, coords)]
-        idx = np.ix_(*axes)
+        idx = self._index(axes)
         self.table[idx] = op.ufunc(self.table[idx], delta)
         self.cells_touched_last_update = math.prod(len(a) for a in axes)
         self.shadow[coords] = value
 
+    def _index(self, axes) -> tuple:
+        """The fancy index of the Cartesian product of per-axis position lists."""
+        return tuple(self._axis_index(j, positions) for j, positions in enumerate(axes))
+
+    def _axis_index(self, axis: int, positions) -> np.ndarray:
+        """``positions`` as an ``intp`` array broadcasting along ``axis``."""
+        shape = (-1,) + (1,) * (len(self.dims) - 1 - axis)
+        return np.array(positions, dtype=np.intp).reshape(shape)
+
     def prefix_query(self, b):
         """Aggregate over the prefix box ``[0..b[0]] x ... x [0..b[d-1]]``."""
-        value = self._prefix(_check_coords(b, self.dims))
+        b = _check_coords(b, self.dims)
+        value = self._prefix(self._index(s.query_indices(c) for s, c in zip(self._schemes, b)))
         _check_underflow(self.op, value)
         return value
 
-    def _prefix(self, b: tuple):
-        axes = [s.query_indices(c) for s, c in zip(self._schemes, b)]
-        block = self.table[np.ix_(*axes)]
+    def _prefix(self, index: tuple):
+        block = self.table[index]
         self.cells_touched_last_query = block.size
         return self.op.ufunc.reduce(block, axis=None).item()
 
@@ -209,11 +227,19 @@ class _AxisProductTable:
         count of any one constituent prefix query.
         """
         box.validate_for(self.dims)
+        # Each axis's index arrays for hi and lo - 1 (None: empty prefix).
+        schemes = self._schemes
+        high = self._index(s.query_indices(c) for s, c in zip(schemes, box.hi))
+        low = [
+            self._axis_index(j, s.query_indices(c - 1)) if c else None
+            for j, (s, c) in enumerate(zip(schemes, box.lo))
+        ]
         touched = 0
 
         def lookup(corner):
             nonlocal touched
-            value = self._prefix(corner)
+            index = tuple(h if c == b else l for c, b, h, l in zip(corner, box.hi, high, low))
+            value = self._prefix(index)
             touched = max(touched, self.cells_touched_last_query)
             return value
 

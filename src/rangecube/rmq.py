@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cube import DataCube, QueryBox
+from .cube import DataCube, QueryBox, _check_boxes, _first_true
 
 __all__ = [
     "DimensionGrouping",
@@ -286,6 +286,50 @@ class SparseTable:
             self.lookups_last_query += 1
             best = value if best is None else self._pick(best, value)
         return best
+
+    def query_many(self, lo, hi) -> np.ndarray:
+        """Answers for the shape-constrained boxes ``[lo[i], hi[i]]`` of two
+        N x d integer arrays.
+
+        Boxes are grouped by level tuple; each group takes ``2**d`` gathers
+        from its level's table.  Answer ``i`` equals
+        ``query(QueryBox(lo[i], hi[i]))`` after ``.tolist()``: blocks are
+        picked in the same order with the same ``min``/``max`` rule, so NaN
+        and -0.0 cells give the same answer.  Afterwards
+        :attr:`lookups_last_query` holds the per-box count.
+        """
+        lo, hi = _check_boxes(lo, hi, self.dims)
+        g = self.grouping
+        lengths = hi - lo + 1
+        base_lengths = lengths[:, list(g.base_dim)]
+        wanted = base_lengths[:, list(g.group_of)] * np.array(g.stretch)
+        if (lengths != wanted).any():
+            i, j = _first_true(lengths != wanted)
+            raise ValueError(
+                f"box {i}: box length {lengths[i, j]} in dimension {j} violates the shape "
+                f"constraint stretch[{j}] * base length = "
+                f"{g.stretch[j]} * {base_lengths[i, g.group_of[j]]}"
+            )
+        levels = np.array(self.log2floor)[base_lengths]
+        key = np.ravel_multi_index(tuple(levels.T), [km + 1 for km in self.kmax])
+        order = np.argsort(key, kind="stable")
+        beats = np.less if self.mode == "min" else np.greater
+        answers = np.empty(len(lo), dtype=self.cube.values.dtype)
+        for rows in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+            if not rows.size:
+                continue
+            kt = tuple(levels[rows[0]].tolist())
+            table = self.tables[kt]
+            near = lo[rows]
+            far = near + lengths[rows] - [self._block_len(j, kt) for j in range(g.ndim)]
+            best = None
+            for s in itertools.product((0, 1), repeat=g.ndim):
+                value = table[tuple((far if sj else near)[:, j] for j, sj in enumerate(s))]
+                # min(best, value) keeps best unless value beats it
+                best = value if best is None else np.where(beats(value, best), value, best)
+            answers[rows] = best
+        self.lookups_last_query = 1 << g.ndim if len(lo) else 0
+        return answers
 
     def block_value(self, anchor: Sequence[int], kt: Sequence[int]):
         """Table entry: the aggregate of the block anchored at ``anchor``."""

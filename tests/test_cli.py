@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from rangecube.cli import main, run_bench, run_script
@@ -254,6 +255,167 @@ class TestOracleCorpus:
             out = run_script(cube_path, struct, script, oracle=True)
             results.append([l for l in out if not l.startswith("#")])
         assert all(r == results[0] for r in results)
+
+
+def brute_answers(values, lines):
+    """Expected output lines of a box-read script over an int numpy cube."""
+    arr = np.array(values)
+    out = []
+    for line in lines:
+        body = line.split("#", 1)[0].split()
+        if not body:
+            continue
+        verb, args = body[0], [int(a) for a in body[1:]]
+        if verb == "update":
+            arr[tuple(args[:-1])] += args[-1]
+            continue
+        if verb == "prefix":
+            box = tuple(slice(0, b + 1) for b in args)
+        else:
+            box = tuple(slice(a, b + 1) for a, b in zip(args[0::2], args[1::2]))
+        out.append(str(int(arr[box].min() if verb == "rmq" else arr[box].sum())))
+    return out
+
+
+class TestBatchedReads:
+    """Runs of consecutive reads are answered in one batched call; output,
+    counters, errors and oracle checks stay those of one read at a time."""
+
+    def script_lines(self, rng, verbs, count, dims=(5, 4)):
+        lines = []
+        for _ in range(count):
+            verb = rng.choice(verbs)
+            if verb == "update":
+                c = [rng.randrange(m) for m in dims]
+                lines.append(f"update {c[0]} {c[1]} {rng.randint(-9, 9)}")
+            elif verb == "prefix":
+                lines.append("prefix " + " ".join(str(rng.randrange(m)) for m in dims))
+            else:
+                lo = [rng.randrange(m) for m in dims]
+                hi = [rng.randint(a, m - 1) for a, m in zip(lo, dims)]
+                lines.append(verb + " " + " ".join(f"{a} {b}" for a, b in zip(lo, hi)))
+            if rng.random() < 0.2:
+                lines.append(rng.choice(["", "# a comment", "   "]))
+        return lines
+
+    @pytest.mark.parametrize(
+        "struct, verbs",
+        [
+            ("prefix", ["query", "prefix"]),
+            ("prefix", ["query"]),
+            ("rmq", ["rmq"]),
+            ("fenwick", ["query", "prefix", "update"]),
+            ("hybrid:k=2,q=1", ["query", "prefix", "update"]),
+        ],
+    )
+    def test_runs_match_brute_force(self, files, struct, verbs):
+        rng = random.Random(77)
+        values = [[rng.randint(-20, 20) for _ in range(4)] for _ in range(5)]
+        cube = files("cube.txt", "2\n5 4\nint\n" + " ".join(map(str, sum(values, []))) + "\n")
+        lines = self.script_lines(rng, verbs, 60)
+        script = files("s.txt", "\n".join(lines) + "\n")
+        for oracle in (False, True):
+            out = run_script(cube, struct, script, oracle=oracle)
+            assert [ln for ln in out if not ln.startswith("#")] == brute_answers(values, lines)
+
+    @pytest.mark.parametrize(
+        "struct, good, bad, message",
+        [
+            ("prefix", "query 0 1 0 1", "query 0 9 0 0", "box exceeds extent 2 in dimension 0: hi 9"),
+            ("prefix", "prefix 1 1", "prefix 0 9223372036854775808", "box exceeds extent 2 in dimension 1"),
+            ("prefix", "query 0 1 0 1", "query 0 x 0 0", "non-integer argument in 'query 0 x 0 0'"),
+            ("prefix", "prefix 1 0", "prefix 1", "prefix expects 2 arguments, got 1"),
+            ("prefix", "prefix 1 0", "query 1 0 0 0", "empty box in dimension 0: lo 1 > hi 0"),
+            ("rmq", "rmq 0 1 0 1", "rmq 9223372036854775808 9223372036854775809 0 0", "box exceeds extent"),
+            ("rmq", "rmq 0 1 0 1", "rmq 0 1.5 0 1", "non-integer argument"),
+        ],
+    )
+    def test_first_bad_line_named(self, files, capsys, struct, good, bad, message):
+        cube = files("cube.txt", CUBE_2X2)
+        # The second bad line would fail on its own too; the first one is reported.
+        second_bad = good.split()[0] + " 5 5 5 5 5"
+        two_bad = files("s.txt", f"{good}\n{good}\n{bad}\n{good}\n{second_bad}\n")
+        one_bad = files("t.txt", f"{good}\n{good}\n{bad}\n")
+        code, out, err = run(capsys, ["query", struct, cube, two_bad])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: line 3: {message}")
+        assert (code, err) == run(capsys, ["query", struct, cube, one_bad])[::2]
+
+    def test_oracle_aborts_at_first_mismatch(self, files, capsys, monkeypatch):
+        from rangecube.cube import PrefixCube
+
+        original = PrefixCube.range_aggregate_many
+
+        def off_by_one_from_row_2(self, lo, hi):
+            answers = original(self, lo, hi)
+            answers[2:] += 1
+            return answers
+
+        monkeypatch.setattr(PrefixCube, "range_aggregate_many", off_by_one_from_row_2)
+        cube = files("cube.txt", CUBE_2X2)
+        script = files("s.txt", "prefix 0 0\n# skip\nprefix 1 1\n\nquery 1 1 0 1\nprefix 0 1\n")
+        code, out, err = run(capsys, ["query", "prefix", cube, script, "--oracle"])
+        assert code == 1
+        assert err == "error: oracle mismatch at line 5: 'query 1 1 0 1': got 8 expected 7\n"
+        code, out, err = run(capsys, ["query", "prefix", cube, script])
+        assert code == 0 and out.splitlines()[:4] == ["1", "10", "8", "4"]
+
+    @pytest.mark.parametrize(
+        "struct, line, key",
+        [("prefix", "query 0 1 1 1", "prefix_lookups_max"), ("rmq", "rmq 0 1 1 1", "rmq_lookups_max")],
+    )
+    def test_one_batched_call_and_counters(self, files, monkeypatch, struct, line, key):
+        from rangecube import cube as cube_module, rmq
+
+        scalar = {
+            "prefix": (cube_module.PrefixCube, "range_aggregate"),
+            "rmq": (rmq.SparseTable, "query"),
+        }
+        monkeypatch.setattr(*scalar[struct], None)  # a scalar read would raise TypeError
+        cube = files("cube.txt", CUBE_2X2)
+        script = files("s.txt", "\n".join([line] * 5) + "\n")
+        out = run_script(cube, struct, script)
+        assert out[-2] == "# ops queries=5 updates=0"
+        assert out[-1] == f"# counters {key}=4"
+
+
+class TestUpdateOverflow:
+    HALF = 1 << 62
+
+    @pytest.mark.parametrize("struct", ["fenwick", "hybrid"])
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+    def test_sum_update_past_safe_bound_rejected(self, files, capsys, struct, oracle):
+        cube = files("cube.txt", "1\n4\nint\n1 2 3 4\n")
+        lines = [f"update 0 {self.HALF}", "query 0 3", f"update 1 {self.HALF}", "query 0 3"]
+        script = files("s.txt", "\n".join(lines) + "\n")
+        code, out, err = run(capsys, ["query", struct, cube, script, *oracle])
+        assert code == 1 and out == ""
+        assert err == (
+            "error: line 1: overflow risk: |value| * cell count must stay below 2**62 for sum cubes\n"
+        )
+
+    def test_sum_update_within_bound_accepted(self, files, capsys):
+        cube = files("cube.txt", "1\n4\nint\n1 2 3 4\n")
+        near = self.HALF // 4 - 2  # (near + 1) * 4 stays below 2**62
+        script = files("s.txt", f"update 0 {near}\nquery 0 3\n")
+        code, out, err = run(capsys, ["query", "fenwick", cube, script, "--oracle"])
+        assert code == 0 and out.splitlines()[0] == str(near + 10)
+
+    @pytest.mark.parametrize(
+        "struct, message",
+        [
+            ("fenwick", "overflow risk"),
+            ("hybrid", "overflow risk"),
+            ("fenwick:op=xor", "delta 99999999999999999999 does not fit a 64-bit signed integer"),
+            ("hybrid:op=xor", "delta 99999999999999999999 does not fit a 64-bit signed integer"),
+        ],
+    )
+    def test_delta_outside_int64_rejected(self, files, capsys, struct, message):
+        cube = files("cube.txt", "1\n4\nint\n1 2 3 4\n")
+        script = files("s.txt", "query 0 3\nupdate 0 99999999999999999999\nquery 0 3\n")
+        code, out, err = run(capsys, ["query", struct, cube, script])
+        assert code == 1
+        assert err.startswith(f"error: line 2: {message}")
 
 
 class TestBench:

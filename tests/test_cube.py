@@ -1,6 +1,9 @@
 """Tests for data cubes, prefix cubes and the brute-force scan oracle."""
 
+import copy
+import itertools
 import math
+import pickle
 import random
 
 import numpy as np
@@ -146,6 +149,14 @@ class TestQueryBox:
         with pytest.raises(IndexError, match="exceeds extent"):
             box.validate_for((2, 2))
 
+    def test_slotted_box_copies_and_pickles(self):
+        box = QueryBox([1, 0], [2, 3])
+        assert not hasattr(box, "__dict__")
+        for twin in (copy.copy(box), copy.deepcopy(box), pickle.loads(pickle.dumps(box))):
+            assert twin == box and hash(twin) == hash(box)
+        with pytest.raises(AttributeError):
+            box.lo = (0, 0)
+
     def test_full_and_cell(self):
         assert QueryBox.full((2, 3)).hi == (1, 2)
         assert QueryBox.cell((1, 1)).lengths == (1, 1)
@@ -273,3 +284,99 @@ def test_random_corpus_sum_xor():
                 assert tables[op.name].range_aggregate(box) == brute_force_range(
                     cube, box, op
                 )
+
+
+def box_arrays(boxes):
+    return np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes])
+
+
+def every_box(dims):
+    spans = [[(a, b) for a in range(m) for b in range(a, m)] for m in dims]
+    for pairs in itertools.product(*spans):
+        yield QueryBox([a for a, _ in pairs], [b for _, b in pairs])
+
+
+class TestRangeAggregateMany:
+    """Batched reads against the scalar method (exactly, sign of zero included)
+    and against the brute-force scan."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_scalar_and_brute_force(self, d):
+        rng = random.Random(300 + d)
+        for _ in range(8):
+            dims = [rng.randint(1, 4 if d == 4 else 7) for _ in range(d)]
+            n = math.prod(dims)
+            ints = make_cube(dims, [rng.randint(-100, 100) for _ in range(n)])
+            signs = [rng.choice((-1, 1)) for _ in range(n)]
+            floats = make_cube(dims, [s * rng.uniform(0.5, 2.0) for s in signs])
+            boxes = [random_box(rng, dims) for _ in range(40)]
+            lo, hi = box_arrays(boxes)
+            for cube, op in ((ints, SUM), (ints, XOR), (floats, SUM), (floats, PRODUCT)):
+                pc = PrefixCube(cube, op)
+                got = pc.range_aggregate_many(lo, hi).tolist()
+                assert pc.lookups_last_query == 2**d
+                assert list(map(repr, got)) == [repr(pc.range_aggregate(b)) for b in boxes]
+                expected = [brute_force_range(cube, b, op) for b in boxes]
+                if cube.kind == "int":
+                    assert got == expected
+                else:
+                    assert all(math.isclose(g, e, rel_tol=1e-9) for g, e in zip(got, expected))
+
+    def test_negative_zero_cells_follow_scalar(self):
+        cube = make_cube([2, 3], [-0.0, 0.0, -0.0, 1.5, -0.0, -1.5])
+        pc = PrefixCube(cube, SUM)
+        boxes = list(every_box(cube.dims))
+        got = pc.range_aggregate_many(*box_arrays(boxes)).tolist()
+        assert list(map(repr, got)) == [repr(pc.range_aggregate(b)) for b in boxes]
+
+    def test_int_sum_matches_where_scalar_fits_int64(self):
+        # The prefix table wraps past 2**63; answers that fit int64 still match.
+        cube = make_cube([3], [1 << 62, 1 << 62, -(1 << 62)])
+        pc = PrefixCube(cube, SUM)
+        boxes = list(every_box(cube.dims))
+        got = pc.range_aggregate_many(*box_arrays(boxes)).tolist()
+        checked = 0
+        for box, value in zip(boxes, got):
+            scalar = pc.range_aggregate(box)
+            if -(1 << 63) <= scalar < 1 << 63:
+                assert value == scalar
+                checked += 1
+        assert checked >= 2
+
+    def test_product_underflow_rejected(self):
+        pc = PrefixCube(make_cube([3], [1e-200, 1e-200, 5.0]), PRODUCT)
+        assert pc.range_aggregate_many([[0]], [[0]]).tolist() == [1e-200]
+        with pytest.raises(ValueError, match="underflow"):
+            pc.range_aggregate_many([[0], [2]], [[0], [2]])
+
+    def test_int_product_rejected(self):
+        pc = PrefixCube(make_cube([2, 2], [2, 3, 5, 7]), PRODUCT)
+        with pytest.raises(ValueError, match="float cube"):
+            pc.range_aggregate_many([[0, 0]], [[1, 1]])
+
+    @pytest.mark.parametrize(
+        "lo, hi, error",
+        [
+            ([[0, 0], [1, 1]], [[1, 1], [0, 1]], ValueError),  # lo > hi in box 1
+            ([[0, 0]], [[2, 1]], IndexError),  # hi past the extent
+            ([[0, 0, 0]], [[1, 1, 1]], ValueError),  # wrong width
+            ([[-1, 0]], [[1, 1]], ValueError),  # negative coordinate
+            ([[0.0, 0.0]], [[1.0, 1.0]], ValueError),  # not integers
+            ([[0, 0]], [[1, 1], [1, 1]], ValueError),  # lo and hi differ in shape
+            ([0, 0], [1, 1], ValueError),  # not N x d
+        ],
+    )
+    def test_bad_boxes(self, lo, hi, error):
+        pc = PrefixCube(make_cube([2, 2], [1, 2, 3, 4]), SUM)
+        with pytest.raises(error):
+            pc.range_aggregate_many(lo, hi)
+
+    def test_first_bad_box_named(self):
+        pc = PrefixCube(make_cube([2, 2], [1, 2, 3, 4]), SUM)
+        with pytest.raises(IndexError, match="box 1: .* extent 2 in dimension 0: hi 5"):
+            pc.range_aggregate_many([[0, 0], [0, 0], [0, 0]], [[1, 1], [5, 1], [1, 9]])
+
+    def test_empty_batch(self):
+        pc = PrefixCube(make_cube([2, 2], [1, 2, 3, 4]), SUM)
+        empty = np.zeros((0, 2), dtype=np.int64)
+        assert pc.range_aggregate_many(empty, empty).tolist() == []

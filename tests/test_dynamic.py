@@ -282,6 +282,29 @@ class TestCrossStructure:
         with pytest.raises(ValueError, match="xor needs an integer cube"):
             STRUCTURES[name](make_cube([2], [1.0, 2.5]), XOR)
 
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    @pytest.mark.parametrize("op", [SUM, XOR], ids=["sum", "xor"])
+    def test_delta_outside_int64_rejected(self, name, op):
+        structure = STRUCTURES[name](make_cube([4], [1, 2, 3, 4]), op)
+        before = structure.table.copy()
+        for delta in (1 << 63, -(1 << 63) - 1, 99999999999999999999):
+            with pytest.raises(ValueError, match=f"delta {delta} does not fit"):
+                structure.update([0], delta)
+        with pytest.raises(ValueError, match="does not fit"):
+            structure.set_value([0], 1 << 70)
+        assert (structure.table == before).all()
+        assert structure.point_read([0]) == 1
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    def test_sum_cell_outside_int64_rejected(self, name):
+        structure = STRUCTURES[name](make_cube([4], [1, 2, 3, 4]), SUM)
+        before = structure.table.copy()
+        with pytest.raises(ValueError, match="outside int64"):
+            structure.update([0], (1 << 63) - 1)
+        assert (structure.table == before).all()
+        structure.update([0], (1 << 63) - 2)
+        assert structure.point_read([0]) == (1 << 63) - 1
+
     def test_random_scripts_agree(self):
         """Fenwick, hybrid variants and a rebuilt prefix cube answer identically."""
         rng = random.Random(2718)

@@ -219,3 +219,83 @@ class TestDifferential:
             assert np.array_equal(fast.tables[kt], full.tables[kt])
         for box in constrained_boxes(cube.dims, grouping):
             assert fast.query(box) == brute_force_range(cube, box, MIN)
+
+
+def box_arrays(boxes):
+    return np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes])
+
+
+class TestQueryMany:
+    """Batched queries against the scalar ``query`` (exactly, NaN and the sign
+    of zero included) and against the brute-force scan."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_scalar_and_brute_force(self, d):
+        rng = random.Random(400 + d)
+        for _ in range(6):
+            dims = [rng.randint(1, 5 if d == 4 else 9) for _ in range(d)]
+            n = math.prod(dims)
+            ints = make_cube(dims, [rng.randint(-100, 100) for _ in range(n)])
+            floats = make_cube(dims, [rng.uniform(-1.0, 1.0) for _ in range(n)])
+            boxes = []
+            for _ in range(40):
+                lo = [rng.randint(0, m - 1) for m in dims]
+                boxes.append(QueryBox(lo, [rng.randint(a, m - 1) for a, m in zip(lo, dims)]))
+            lo, hi = box_arrays(boxes)
+            for cube in (ints, floats):
+                for mode, op in (("min", MIN), ("max", MAX)):
+                    table = SparseTable(cube, mode=mode)
+                    got = table.query_many(lo, hi).tolist()
+                    assert table.lookups_last_query == 2**d
+                    assert list(map(repr, got)) == [repr(table.query(b)) for b in boxes]
+                    assert got == [brute_force_range(cube, b, op) for b in boxes]
+
+    @pytest.mark.parametrize(
+        "dims, grouping",
+        [
+            ([8, 16], DimensionGrouping([0, 0], [0], [1, 2])),
+            ([4, 12, 5], DimensionGrouping([0, 0, 1], [0, 2], [1, 3, 1])),
+            ([6, 5, 7], DimensionGrouping([0, 1, 0], [0, 1], [1, 1, 1])),
+        ],
+    )
+    def test_grouped_constrained_boxes(self, dims, grouping):
+        rng = random.Random(41)
+        cube = make_cube(dims, [rng.randint(-50, 50) for _ in range(math.prod(dims))])
+        table = SparseTable(cube, grouping)
+        boxes = list(constrained_boxes(dims, grouping))
+        got = table.query_many(*box_arrays(boxes)).tolist()
+        assert got == [table.query(b) for b in boxes]
+        assert got == [brute_force_range(cube, b, MIN) for b in boxes]
+
+    def test_shape_constraint_enforced(self):
+        grouping = DimensionGrouping([0, 0], [0], [1, 2])
+        table = SparseTable(make_cube([4, 8], list(range(32))), grouping)
+        with pytest.raises(ValueError, match="box 1: .*violates the shape constraint"):
+            table.query_many([[0, 0], [0, 0]], [[0, 1], [1, 1]])
+
+    def test_nan_and_negative_zero_follow_scalar(self):
+        # Row 1 puts NaN in the second block of some boxes, where min/max keep
+        # the first block's value.
+        cube = make_cube([2, 4], [math.nan, -0.0, 0.0, 1.0, 0.0, 2.0, math.nan, -0.0])
+        boxes = [
+            QueryBox([a0, a1], [b0, b1])
+            for a0 in range(2) for b0 in range(a0, 2) for a1 in range(4) for b1 in range(a1, 4)
+        ]
+        for mode in ("min", "max"):
+            table = SparseTable(cube, mode=mode)
+            got = table.query_many(*box_arrays(boxes)).tolist()
+            assert list(map(repr, got)) == [repr(table.query(b)) for b in boxes]
+
+    @pytest.mark.parametrize(
+        "lo, hi, error",
+        [
+            ([[1, 0]], [[0, 1]], ValueError),  # lo > hi
+            ([[0, 0]], [[1, 3]], IndexError),  # hi past the extent
+            ([[0]], [[1]], ValueError),  # wrong width
+            ([[-1, 0]], [[0, 0]], ValueError),  # negative coordinate
+        ],
+    )
+    def test_bad_boxes(self, lo, hi, error):
+        table = SparseTable(make_cube([2, 3], [5, 1, 4, 2, 6, 3]))
+        with pytest.raises(error):
+            table.query_many(lo, hi)
