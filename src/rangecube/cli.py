@@ -43,6 +43,7 @@ mode, no mismatches.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import random
@@ -690,7 +691,10 @@ def run_bench(n, d, k_list, q_list, ratio, ops, seed, csv=False):
 # -- entry point -------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: ``parse_args`` keeps no state in it,
+    so every ``main`` call reuses it instead of leaving one behind."""
     parser = argparse.ArgumentParser(
         prog="rangecube",
         description="Multidimensional range aggregates, RMQ, medians and selection.",

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cube import SUM, DataCube, QueryBox, _inclusion_exclusion, _prefix_table
+from .cube import SUM, SUM_SAFE_BOUND, DataCube, QueryBox, _inclusion_exclusion, _prefix_table
 
 __all__ = [
     "WeightedPoints1D",
@@ -460,6 +460,10 @@ class CubeMedianIndex:
     ``scale[j][c_j] * weight(c)``, gives the weighted-distance sums.  All
     derived quantities then cost O(2^d) prefix lookups, counted as one
     RangeSum probe each in :attr:`rangesum_probes_last_query`.
+
+    Int weights with int scales are summed exactly in int64; the build
+    rejects them with a ``ValueError`` once peak weight * cell count *
+    peak |scale| reaches ``SUM_SAFE_BOUND``, so no table can wrap.
     """
 
     def __init__(self, cube: DataCube, scales: Sequence[Sequence]):
@@ -481,6 +485,15 @@ class CubeMedianIndex:
         exact = cube.kind == "int" and all(
             all(isinstance(x, (int, np.integer)) for x in scale) for scale in scales
         )
+        if exact:
+            # Python ints, so a scale past int64 is measured, not converted;
+            # each list is sorted, so its peak |scale| sits at an end.
+            peak_scale = max(abs(int(x)) for scale in scales for x in (scale[0], scale[-1]))
+            if int(cube.values.max()) * cube.size * max(peak_scale, 1) >= SUM_SAFE_BOUND:
+                raise ValueError(
+                    "overflow risk: peak weight * cell count * peak |scale| must stay "
+                    "below 2**62 for int medians"
+                )
         dtype = np.int64 if exact else np.float64
         values = cube.values.astype(dtype)
         self.ps_cube = _prefix_table(values, SUM)

@@ -50,6 +50,8 @@ DEFAULT_SPLIT_CAP = 1 << 22
 
 _VALID_OPS = ("sum", "product", "max")
 
+_INT64_MAX = (1 << 63) - 1
+
 
 @dataclass(frozen=True)
 class SortedWeightArrays:
@@ -81,6 +83,12 @@ class SortedWeightArrays:
                 raise ValueError(f"{op} selection needs nonnegative entries")
         object.__setattr__(self, "arrays", arrays)
         object.__setattr__(self, "op", op)
+        if op == "sum" and self.wmax > _INT64_MAX and self.is_integer:
+            # The sum count runs on int64 arrays; a larger weight cannot be
+            # represented there.
+            raise ValueError(
+                f"int sum weights reach {self.wmax}, past the int64 limit 2**63 - 1"
+            )
 
     @property
     def d(self) -> int:

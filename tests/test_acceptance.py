@@ -33,7 +33,12 @@ from rangecube.medians import (
     interval_k_median_naive,
     range_weighted_median,
 )
-from rangecube.rmq import DimensionGrouping, SparseTable
+from rangecube.rmq import (
+    DimensionGrouping,
+    SparseTable,
+    constrained_boxes,
+    grouped_base_case,
+)
 from rangecube.selection import (
     SortedWeightArrays,
     aggregate_k_smallest,
@@ -318,27 +323,29 @@ def test_criterion_6_selection():
 
 
 def test_criterion_7_differential_sparse_table_recurrences():
-    """Full 2^d-tuple recurrence vs single-group halving: entry-identical."""
+    """Every level-built table answers every constrained box as brute force."""
     start = time.perf_counter()
     rng = random.Random(70_007)
+
+    def check(cube, grouping):
+        tables = {mode: SparseTable(cube, grouping, mode) for mode in ("min", "max")}
+        for mode, table in tables.items():
+            level0 = table.tables[(0,) * grouping.ngroups]
+            expected = [grouped_base_case(cube, grouping, a, mode) for a in np.ndindex(level0.shape)]
+            assert np.array_equal(level0, np.array(expected).reshape(level0.shape))
+        for box in constrained_boxes(cube.dims, grouping):
+            assert tables["min"].query(box) == brute_force_range(cube, box, MIN)
+            assert tables["max"].query(box) == brute_force_range(cube, box, MAX)
+
     for _ in range(20):
         d = rng.randint(1, 2)
         dims = [rng.randint(1, 16) for _ in range(d)]
         cube = make_cube(dims, [rng.randint(-100, 100) for _ in range(math.prod(dims))])
-        for mode in ("min", "max"):
-            fast = SparseTable(cube, mode=mode)
-            full = SparseTable(cube, mode=mode, full_recurrence=True)
-            assert fast.tables.keys() == full.tables.keys()
-            for kt in fast.tables:
-                assert np.array_equal(fast.tables[kt], full.tables[kt])
-    grouping = DimensionGrouping([0, 0], [0], [1, 2])
+        check(cube, DimensionGrouping.singleton(d))
     dims = [rng.randint(2, 12), rng.randint(2, 16)]
     cube = make_cube(dims, [rng.randint(-100, 100) for _ in range(math.prod(dims))])
-    fast = SparseTable(cube, grouping)
-    full = SparseTable(cube, grouping, full_recurrence=True)
-    for kt in fast.tables:
-        assert np.array_equal(fast.tables[kt], full.tables[kt])
-    report(7, "differential table recurrences", time.perf_counter() - start, 10)
+    check(cube, DimensionGrouping([0, 0], [0], [1, 2]))
+    report(7, "sparse tables vs brute force", time.perf_counter() - start, 10)
 
 
 def test_criterion_8_cli_golden(tmp_path, capsys):

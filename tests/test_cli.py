@@ -511,6 +511,32 @@ class TestTopLevelCommands:
         assert abs(float(out) - 2.25) < 1e-6
 
 
+def test_main_calls_share_one_parser(files, capsys):
+    """Calls in one process, with different subcommands and flags, print what
+    each prints in a process of its own."""
+    cube = files("cube.txt", CUBE_2X2)
+    script = files("s.txt", "prefix 1 1\nprefix 0 1\n")
+    arrays = files("arr.txt", "1 2\n1 2\n")
+    calls = [
+        ["query", "prefix:op=sum", cube, script, "--oracle"],
+        ["select", arrays, "--op", "sum", "--agg", "sum", "--k", "3"],
+        ["query", "fenwick", cube, script],
+        ["select", arrays, "--k", "2"],
+    ]
+    separate = [
+        subprocess.run(
+            [sys.executable, "-m", "rangecube", *argv], capture_output=True, text=True
+        ).stdout
+        for argv in calls
+    ]
+    together = []
+    for argv in calls:
+        code, out, err = run(capsys, argv)
+        assert code == 0, err
+        together.append(out)
+    assert together == separate
+
+
 def test_console_entry_point(tmp_path):
     cube = tmp_path / "cube.txt"
     cube.write_text(CUBE_2X2)

@@ -444,6 +444,23 @@ class TestCubeMedian:
         with pytest.raises(ValueError, match="sorted"):
             CubeMedianIndex(make_cube([2], [1, 1]), [[1, 0]])
 
+    @pytest.mark.parametrize(
+        "scale0",
+        [[2**31 - 4, 2**31 - 3, 2**31 - 2, 2**31 - 1], [0, 1, 2, 2**63]],
+    )
+    def test_int_tables_past_bound_rejected(self, scale0):
+        cube = make_cube([4, 4], [2**40] * 16)
+        with pytest.raises(ValueError, match="overflow risk"):
+            CubeMedianIndex(cube, [scale0, [2**31 - 4, 2**31 - 3, 2**31 - 2, 2**31 - 1]])
+
+    def test_int_tables_below_bound_exact(self):
+        rng = random.Random(53)
+        cube = make_cube([4, 4], [rng.randint(1, 2**30) for _ in range(16)])
+        scales = [sorted(rng.sample(range(-(2**26), 2**26), 4)) for _ in range(2)]
+        idx = CubeMedianIndex(cube, scales)
+        box = QueryBox.full(cube.dims)
+        assert cube_range_weighted_median(idx, box).cost == cube_median_brute(cube, scales, box)[0]
+
     def test_matches_brute_force(self):
         rng = random.Random(43)
         for _ in range(25):

@@ -22,6 +22,18 @@ def random_cube(rng, d=None, max_extent=8):
     return make_cube(dims, values)
 
 
+def assert_matches_brute_force(cube, grouping):
+    """In both modes: level 0 equals a direct reduce over each anchored
+    stretch box, and every constrained box equals the brute-force scan."""
+    for mode, op in (("min", MIN), ("max", MAX)):
+        table = SparseTable(cube, grouping, mode)
+        level0 = table.tables[(0,) * grouping.ngroups]
+        expected = [grouped_base_case(cube, grouping, a, mode) for a in np.ndindex(level0.shape)]
+        assert np.array_equal(level0, np.array(expected).reshape(level0.shape))
+        for box in constrained_boxes(cube.dims, grouping):
+            assert table.query(box) == brute_force_range(cube, box, op)
+
+
 class TestGrouping:
     def test_singleton(self):
         g = DimensionGrouping.singleton(3)
@@ -174,51 +186,44 @@ class TestBaseCase:
             grouped_base_case(cube, g, (0, 3))
 
     def test_recursive_path_matches_scan(self):
-        """Force the recursive reduction and compare with the direct scan."""
+        """Stretch (1, 2) on random 2-D cubes, against brute force."""
         rng = random.Random(31)
         g = DimensionGrouping([0, 0], [0], [1, 2])
         for _ in range(5):
             dims = [rng.randint(2, 6), rng.randint(2, 8)]
             cube = make_cube(dims, [rng.randint(-50, 50) for _ in range(math.prod(dims))])
-            scan = SparseTable(cube, g, base_scan_limit=64)
-            recur = SparseTable(cube, g, base_scan_limit=1)
-            for kt in scan.tables:
-                assert np.array_equal(scan.tables[kt], recur.tables[kt])
+            assert_matches_brute_force(cube, g)
 
     def test_recursive_path_with_separated_dimension(self):
-        """Non-divisible stretch ratios split into singleton groups."""
+        """Stretch (1, 2, 3): the ratio 3/2 is not an integer."""
         rng = random.Random(37)
         g = DimensionGrouping([0, 0, 0], [0], [1, 2, 3])
         dims = [3, 5, 7]
         cube = make_cube(dims, [rng.randint(-50, 50) for _ in range(math.prod(dims))])
-        scan = SparseTable(cube, g, base_scan_limit=64)
-        recur = SparseTable(cube, g, base_scan_limit=1)
-        for kt in scan.tables:
-            assert np.array_equal(scan.tables[kt], recur.tables[kt])
-        for box in constrained_boxes(cube.dims, g):
-            assert recur.query(box) == brute_force_range(cube, box, MIN)
+        assert_matches_brute_force(cube, g)
+
+    def test_stretch_box_past_64_cells(self):
+        """Stretch (1, 9, 9): an 81-cell level-0 box, folded per axis."""
+        rng = random.Random(43)
+        g = DimensionGrouping([0, 0, 0], [0], [1, 9, 9])
+        dims = [3, 20, 20]
+        cube = make_cube(dims, [rng.randint(-1000, 1000) for _ in range(math.prod(dims))])
+        assert_matches_brute_force(cube, g)
 
 
 class TestDifferential:
-    def test_full_recurrence_entry_identical(self):
+    def test_singleton_tables_match_brute_force(self):
+        """Singleton groupings on random 1-D and 2-D cubes, against brute force."""
         rng = random.Random(41)
         for _ in range(8):
             cube = random_cube(rng, d=rng.randint(1, 2), max_extent=16)
-            fast = SparseTable(cube)
-            full = SparseTable(cube, full_recurrence=True)
-            assert fast.tables.keys() == full.tables.keys()
-            for kt in fast.tables:
-                assert np.array_equal(fast.tables[kt], full.tables[kt])
+            assert_matches_brute_force(cube, DimensionGrouping.singleton(cube.ndim))
 
-    def test_full_recurrence_grouped(self):
+    def test_grouped_tables_match_brute_force(self):
+        """Stretch (1, 2) on a fixed 6 x 12 cube, against brute force."""
         grouping = DimensionGrouping([0, 0], [0], [1, 2])
         cube = make_cube([6, 12], [((i * 13 + j * 7) % 23) - 11 for i in range(6) for j in range(12)])
-        fast = SparseTable(cube, grouping)
-        full = SparseTable(cube, grouping, full_recurrence=True)
-        for kt in fast.tables:
-            assert np.array_equal(fast.tables[kt], full.tables[kt])
-        for box in constrained_boxes(cube.dims, grouping):
-            assert fast.query(box) == brute_force_range(cube, box, MIN)
+        assert_matches_brute_force(cube, grouping)
 
 
 def box_arrays(boxes):

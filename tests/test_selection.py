@@ -47,6 +47,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="op"):
             SortedWeightArrays([[1]], "xor")
 
+    @pytest.mark.parametrize(
+        "rows", [[[1, 2**63 + 5], [3, 4]], [[1, 2**63 + 5], [3, 4], [5, 6]]]
+    )
+    def test_int_sum_past_int64_rejected(self, rows):
+        with pytest.raises(ValueError, match="int64 limit"):
+            SortedWeightArrays(rows, "sum")
+
+    def test_int_sum_at_int64_limit_exact(self):
+        arrays = SortedWeightArrays([[1, 2**63 - 5], [0, 4]], "sum")
+        assert arrays.wmax == 2**63 - 1
+        for k, w in enumerate(all_weights(arrays), start=1):
+            assert kth_smallest(arrays, k) == w
+
 
 class TestCountLeq:
     def test_sum_example(self):
