@@ -471,7 +471,7 @@ def _select(s, cmd, oracle):
 
 def _selection(s, agg, k, q, eps, oracle):
     """The k-th smallest weight, or with ``agg`` the ``agg`` aggregate of the k
-    smallest; split size ``q`` (None: the default, 0: ComputeP only)."""
+    smallest; split size ``q`` (None: the default, 0: no stored split)."""
     if q is None:
         q = choose_split_q(s.arrays)
     split = build_split(s.arrays, q) if q else None
@@ -727,7 +727,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_select.add_argument("--op", choices=("sum", "product", "max"), default="sum")
     p_select.add_argument("--agg", choices=("sum", "product", "max"), default=None)
     p_select.add_argument("--k", type=int, required=True)
-    p_select.add_argument("--q", type=int, default=None, help="split size (0 = ComputeP)")
+    p_select.add_argument("--q", type=int, default=None, help="split size (0 = no stored split)")
     p_select.add_argument("--eps", type=float, default=1e-6)
     return parser
 

@@ -4,21 +4,24 @@ Given d sorted arrays of length n and an operator (sum, product or max), each
 of the n^d index tuples has an implicit weight: the operator applied across
 one entry per array.  The k-th smallest weight is found without materialising
 the grid, by binary search on the weight value with a counting feasibility
-test (``count_leq(wt) >= k`` iff ``wt >= ww(k)``):
+test (``count_leq(wt) >= k`` iff ``wt >= ww(k)``).
 
-* for max the count is a product of d per-array binary searches;
-* for sum/product the ComputeP recursion peels one array at a time, folding
-  the consumed entries into the residual threshold, with a binary search on
-  the first array at the bottom, in O(n^(d-1) log n) per test;
-* with O(n^q) extra storage, a :class:`SelectionSplit` materialises the sorted
-  multiset of all combinations of the first q arrays so each of the n^(d-q)
-  right-side combinations costs a single binary search; ComputeP is the q=1
-  case of this scheme.
+For max the count is a product of d per-array binary searches.  Sum and
+product share one counting kernel, in the sorted-matrix view of Frederickson
+& Johnson (SIAM J. Comput. 1984): the n^q combinations of the first q arrays
+form a sorted left side (a :class:`SelectionSplit`, or the first array for
+q = 1), and a count is one ``np.searchsorted`` into it of the thresholds
+``wt - r``, ``wt // r`` or ``wt / r`` of the right-side combinations ``r``.
+The right side comes in blocks of at most ``_BLOCK`` combinations, so the
+extra storage is O(n^q + block).
 
-Integer inputs are answered exactly (product thresholds use floor division,
-never floating division); real inputs converge to any requested precision.
-Aggregates (sum/product) of the k smallest weights reuse the same search plus
-prefix aggregates of the split, correcting for duplicate weights at the end.
+Integer inputs are exact: sum counts run on int64 (the largest weight must
+fit), product counts on int64 floor division while the largest weight fits
+and on Python ints otherwise.  Real inputs must stay finite and converge to
+any requested precision.  Aggregates (sum/product) of the k smallest weights
+reuse the search plus one final kernel pass over prefix aggregates of the
+left side (int64 only where ``n^d * wmax`` fits), correcting for duplicate
+weights at the end.
 
 The store-everything path :func:`all_weights` is kept only as an oracle for
 tests and the CLI's differential mode, not as a production path.
@@ -26,7 +29,7 @@ tests and the CLI's differential mode, not as a production path.
 
 from __future__ import annotations
 
-import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,20 +38,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 __all__ = [
-    "SortedWeightArrays",
-    "SelectionSplit",
-    "build_split",
-    "choose_split_q",
-    "count_leq",
-    "kth_smallest",
-    "aggregate_k_smallest",
-    "all_weights",
+    "SortedWeightArrays", "SelectionSplit", "build_split", "choose_split_q",
+    "count_leq", "kth_smallest", "aggregate_k_smallest", "all_weights",
 ]
 
 #: Default storage cap (in values) for automatically chosen splits.
 DEFAULT_SPLIT_CAP = 1 << 22
 
-_VALID_OPS = ("sum", "product", "max")
+#: Most right-side combinations one kernel pass holds at once.
+_BLOCK = 1 << 16
+
+_UFUNCS = {"sum": np.add, "product": np.multiply, "max": np.maximum}
 
 _INT64_MAX = (1 << 63) - 1
 
@@ -59,36 +59,55 @@ class SortedWeightArrays:
 
     Domains keep the inverse operator total on the search interval:
     nonnegative entries for sum and max, strictly positive for product.
+    Float weights must be finite, and so must every float combination.
     """
 
     arrays: tuple
     op: str
 
     def __init__(self, arrays: Sequence[Sequence], op: str):
-        if op not in _VALID_OPS:
-            raise ValueError(f"op must be one of {_VALID_OPS}, got {op!r}")
+        if op not in _UFUNCS:
+            raise ValueError(f"op must be one of {tuple(_UFUNCS)}, got {op!r}")
         arrays = tuple(tuple(a) for a in arrays)
         if not arrays or not arrays[0]:
             raise ValueError("need at least one non-empty array")
         n = len(arrays[0])
+        is_integer = all(isinstance(x, (int, np.integer)) for a in arrays for x in a)
+        if is_integer:
+            arrays = tuple(tuple(int(x) for x in a) for a in arrays)
+        values = []
         for i, a in enumerate(arrays):
             if len(a) != n:
                 raise ValueError(f"array {i} has length {len(a)}, expected {n}")
-            if any(x > y for x, y in zip(a, a[1:])):
+            try:
+                v = np.array(a, dtype=object if is_integer else np.float64)
+            except OverflowError:
+                raise ValueError(f"array {i} holds an int past the float range") from None
+            if not (is_integer or np.isfinite(v).all()):
+                cause = "a NaN" if np.isnan(v).any() else "an infinite"
+                raise ValueError(f"array {i} holds {cause} weight")
+            if (v[1:] < v[:-1]).any():
                 raise ValueError(f"array {i} is not sorted non-decreasing")
             if op == "product":
-                if any(x <= 0 for x in a):
+                if v[0] <= 0:
                     raise ValueError("product selection needs strictly positive entries")
-            elif any(x < 0 for x in a):
+            elif v[0] < 0:
                 raise ValueError(f"{op} selection needs nonnegative entries")
+            values.append(v)
         object.__setattr__(self, "arrays", arrays)
         object.__setattr__(self, "op", op)
-        if op == "sum" and self.wmax > _INT64_MAX and self.is_integer:
-            # The sum count runs on int64 arrays; a larger weight cannot be
-            # represented there.
-            raise ValueError(
-                f"int sum weights reach {self.wmax}, past the int64 limit 2**63 - 1"
-            )
+        if is_integer:
+            if op == "sum" and self.wmax > _INT64_MAX:  # sum counts run on int64
+                raise ValueError(f"int sum weights reach {self.wmax}, past the int64 limit 2**63 - 1")
+            if self.wmax <= _INT64_MAX:  # then every entry and combination fits
+                values = [v.astype(np.int64) for v in values]
+        elif not (math.isfinite(self.wmin) and math.isfinite(self.wmax)) or (
+            op == "product"
+            and not 0.0 < math.prod(min(a[0], 1.0) for a in arrays)
+            <= math.prod(max(a[-1], 1.0) for a in arrays) < math.inf
+        ):
+            raise ValueError(f"float {op} combinations leave the finite float64 range")
+        object.__setattr__(self, "_values", tuple(values))
 
     @property
     def d(self) -> int:
@@ -104,7 +123,7 @@ class SortedWeightArrays:
 
     @property
     def is_integer(self) -> bool:
-        return all(isinstance(x, (int, np.integer)) for a in self.arrays for x in a)
+        return self._values[0].dtype != np.float64
 
     def combine_many(self, values):
         if self.op == "sum":
@@ -122,39 +141,63 @@ class SortedWeightArrays:
         return self.combine_many([a[-1] for a in self.arrays])
 
 
-@dataclass(frozen=True)
+def _identity(op: str, dtype) -> np.ndarray:
+    """One identity entry of the sum/product fold."""
+    return (np.zeros if op == "sum" else np.ones)(1, dtype)
+
+
+def _combos(op: str, parts, start: int, stop: int) -> np.ndarray:
+    """Combinations ``start:stop``, in C order, of one entry from each of ``parts``."""
+    idx = np.unravel_index(np.arange(start, stop), tuple(len(a) for a in parts))
+    return functools.reduce(_UFUNCS[op], [a[i] for a, i in zip(parts, idx)])
+
+
+@dataclass(frozen=True, eq=False)
 class SelectionSplit:
     """Sorted combinations of the first q arrays plus their prefix aggregates.
 
-    ``s_l`` holds all n^q operator-combinations sorted ascending; ``ps_l`` has
-    ``ps_l[j]`` = aggregate of the j smallest (``ps_l[0]`` is the identity).
+    ``left`` holds all n^q operator-combinations sorted ascending; ``prefix``
+    has ``prefix[j]`` = aggregate of the j smallest (``prefix[0]`` is the
+    identity).  ``s_l`` and ``ps_l`` give the same values as tuples.
     """
 
     q: int
-    s_l: tuple
-    ps_l: tuple
+    left: np.ndarray
+    prefix: np.ndarray
+
+    @property
+    def s_l(self) -> tuple:
+        return tuple(self.left.tolist())
+
+    @property
+    def ps_l(self) -> tuple:
+        return tuple(self.prefix.tolist())
+
+
+def _split(arrays: SortedWeightArrays, q: int) -> SelectionSplit:
+    """The split for any ``1 <= q <= d``, by broadcast plus sort."""
+    op = arrays.op
+    left = np.sort(_combos(op, arrays._values[:q], 0, arrays.n**q))
+    acc = left
+    if arrays.is_integer and (op == "product" or left.size * int(left[-1]) > _INT64_MAX):
+        acc = left.astype(object)  # exact Python-int prefix aggregates
+    # max never needs prefix aggregates; it keeps running maxima anyway
+    first = acc[:1] if op == "max" else _identity(op, acc.dtype)
+    with np.errstate(over="ignore"):
+        prefix = _UFUNCS[op].accumulate(np.concatenate((first, acc)))
+    return SelectionSplit(q, left, prefix)
 
 
 def build_split(arrays: SortedWeightArrays, q: int) -> SelectionSplit:
     """Materialise the n^q left-side combinations (requires 1 <= q <= d-1)."""
     if not 1 <= q <= arrays.d - 1:
         raise ValueError(f"split size q must be in [1, {arrays.d - 1}], got {q}")
-    combos = sorted(
-        arrays.combine_many(t) for t in itertools.product(*arrays.arrays[:q])
-    )
-    if arrays.op == "product":
-        identity = 1
-        prefix = list(itertools.accumulate(combos, lambda a, b: a * b, initial=identity))
-    elif arrays.op == "sum":
-        prefix = list(itertools.accumulate(combos, initial=0))
-    else:  # max: prefix aggregates are never needed, keep running maxima anyway
-        prefix = list(itertools.accumulate(combos, max, initial=combos[0]))
-    return SelectionSplit(q, tuple(combos), tuple(prefix))
+    return _split(arrays, q)
 
 
 def choose_split_q(arrays: SortedWeightArrays, cap: int = DEFAULT_SPLIT_CAP) -> Optional[int]:
     """Default split size: ceil(d/2) if n^q fits the cap, else the largest
-    feasible q, else None (pure ComputeP)."""
+    feasible q, else None (no stored split)."""
     if arrays.d < 2:
         return None
     preferred = min(-(-arrays.d // 2), arrays.d - 1)
@@ -164,84 +207,59 @@ def choose_split_q(arrays: SortedWeightArrays, cap: int = DEFAULT_SPLIT_CAP) -> 
     return None
 
 
-def _threshold(op: str, exact: bool, wt, consumed):
-    """Largest value x may take so that ``x op consumed <= wt``."""
-    if op == "sum":
-        return wt - consumed
-    if exact:
-        return wt // consumed  # ints: x * consumed <= wt  <=>  x <= wt // consumed
-    return wt / consumed
+def _sides(arrays: SortedWeightArrays, split: Optional[SelectionSplit]):
+    """Kernel operands: the left side (the split's, or the first array for q = 1)
+    and a callable giving the combinations of arrays q..d-1 (one identity entry
+    if q == d) in blocks of at most ``_BLOCK``: built once, on first use, when
+    they fit one block, else rebuilt block by block on each pass."""
+    q, left = (1, arrays._values[0]) if split is None else (split.q, split.left)
+    rest = arrays._values[q:] or (_identity(arrays.op, arrays._values[0].dtype),)
+    total = math.prod(len(a) for a in rest)
+
+    def blocks():
+        for s in range(0, total, _BLOCK):
+            yield _combos(arrays.op, rest, s, min(s + _BLOCK, total))
+
+    return left, (functools.cache(lambda: list(blocks())) if total <= _BLOCK else blocks)
 
 
-def _right_combos(arrays: SortedWeightArrays, q: int):
-    """All operator-combinations of arrays q..d-1 (one identity element if none)."""
-    if q >= arrays.d:
-        return [0 if arrays.op == "sum" else 1]
-    combos = [arrays.combine_many(t) for t in itertools.product(*arrays.arrays[q:])]
-    return combos
-
-
-def _count_with_split(arrays, wt, s_l, right, exact):
-    op = arrays.op
-    if exact and op == "product":
-        total = 0
-        for s in right:
-            total += bisect.bisect_right(s_l, wt // s)
-        return total
-    s_np = np.asarray(s_l, dtype=np.int64 if exact else np.float64)
-    r_np = np.asarray(right, dtype=np.int64 if exact else np.float64)
-    if op == "sum":
-        thresholds = wt - r_np
-    else:
-        thresholds = wt / r_np
-    return int(np.searchsorted(s_np, thresholds, side="right").sum())
-
-
-def _compute_p(arrays: SortedWeightArrays, wt, di: int, consumed, exact: bool):
-    """ComputeP: count combinations of arrays 0..di-1 with weight op consumed <= wt."""
-    op = arrays.op
-    w = arrays.arrays
-    if di == 1:
-        if consumed is None:
-            return bisect.bisect_right(w[0], wt)
-        return bisect.bisect_right(w[0], _threshold(op, exact, wt, consumed))
-    if di == 2 and not (exact and op == "product"):
-        base = np.asarray(w[1], dtype=np.int64 if exact else np.float64)
-        folded = base if consumed is None else (
-            base + consumed if op == "sum" else base * consumed
-        )
-        if op == "sum":
-            thresholds = wt - folded
+def _ranks(arrays: SortedWeightArrays, wt, left: np.ndarray, blocks):
+    """``(r, j)`` per right-side block ``r``: ``j[i]`` counts the left entries
+    ``x`` with ``x op r[i] <= wt``.  ``wt`` lies in ``[wmin - 1, wmax]``, so
+    int64 thresholds cannot wrap."""
+    for r in blocks():
+        if arrays.op == "sum":
+            thresholds = wt - r
+        elif arrays.is_integer:
+            thresholds = wt // r  # x * r <= wt  <=>  x <= wt // r, for r >= 1
         else:
-            thresholds = wt / folded
-        first = np.asarray(w[0], dtype=np.int64 if exact else np.float64)
-        return int(np.searchsorted(first, thresholds, side="right").sum())
-    total = 0
-    for x in w[di - 1]:
-        folded = x if consumed is None else (x + consumed if op == "sum" else x * consumed)
-        total += _compute_p(arrays, wt, di - 1, folded, exact)
-    return total
+            with np.errstate(over="ignore"):
+                thresholds = wt / r
+        yield r, np.searchsorted(left, thresholds, side="right")
+
+
+def _count(arrays: SortedWeightArrays, wt, left: np.ndarray, blocks) -> int:
+    """The counting kernel: grid points whose weight is at most ``wt``."""
+    if arrays.op == "max":
+        return math.prod(int(np.searchsorted(a, wt, side="right")) for a in arrays._values)
+    return sum(int(j.sum()) for _, j in _ranks(arrays, wt, left, blocks))
 
 
 def count_leq(arrays: SortedWeightArrays, wt, split: Optional[SelectionSplit] = None) -> int:
     """Number of grid points whose weight is at most ``wt``.
 
     Monotone non-decreasing in ``wt``; values below every weight give 0 and
-    above every weight give n^d.  ``split`` switches the sum/product count
-    from the ComputeP recursion to the stored-combination scheme; max always
-    uses the product-of-limits count.
+    above every weight give n^d.  ``split`` chooses the stored left side of
+    the sum/product count; max always uses the product-of-limits count.
     """
-    if arrays.op == "max":
-        p = 1
-        for a in arrays.arrays:
-            p *= bisect.bisect_right(a, wt)
-        return p
-    exact = arrays.is_integer and isinstance(wt, int)
-    if split is not None:
-        return _count_with_split(
-            arrays, wt, split.s_l, _right_combos(arrays, split.q), exact
-        )
-    return _compute_p(arrays, wt, arrays.d, None, exact)
+    if wt != wt:
+        raise ValueError("count threshold wt is NaN")
+    if wt < arrays.wmin:
+        return 0
+    if wt >= arrays.wmax:
+        return arrays.grid_size
+    wt = math.floor(wt) if arrays.is_integer else float(wt)
+    return _count(arrays, wt, *_sides(arrays, split))
 
 
 def kth_smallest(
@@ -256,27 +274,19 @@ def kth_smallest(
 
     Integer inputs give the exact answer via binary search on the integer
     lattice; real inputs converge until the search interval is shorter than
-    ``eps`` and return its upper end (within ``eps`` of the true weight).
+    ``eps`` (or than the float64 spacing there) and return its upper end
+    (within ``eps`` of the true weight).
     """
     if not 1 <= k <= arrays.grid_size:
         raise ValueError(f"rank k must be in [1, {arrays.grid_size}], got {k}")
-    right = None if split is None else _right_combos(arrays, split.q)
-
-    def count(wt, exact):
-        if arrays.op == "max":
-            return count_leq(arrays, wt)
-        if split is not None:
-            return _count_with_split(arrays, wt, split.s_l, right, exact)
-        return _compute_p(arrays, wt, arrays.d, None, exact)
-
+    left, blocks = _sides(arrays, split)
     lo, hi = arrays.wmin, arrays.wmax
     iterations = 0
     if arrays.is_integer:
-        lo, hi = int(lo), int(hi)
         while lo < hi:
             mid = (lo + hi) // 2
             iterations += 1
-            if count(mid, True) >= k:
+            if _count(arrays, mid, left, blocks) >= k:
                 hi = mid
             else:
                 lo = mid + 1
@@ -287,22 +297,19 @@ def kth_smallest(
         lo, hi = float(lo), float(hi)
         while hi - lo > eps:
             mid = (lo + hi) / 2
+            if mid >= hi:  # adjacent floats round up: test lo, the only value below hi
+                mid = lo
             iterations += 1
-            if count(mid, False) >= k:
+            if _count(arrays, mid, left, blocks) >= k:
                 hi = mid
-            else:
+            elif mid > lo:
                 lo = mid
+            else:  # nothing lies strictly between lo and hi, so ww(k) is hi
+                break
         result = hi
     if return_stats:
         return result, {"iterations": iterations}
     return result
-
-
-def _mop(op: str, u, v):
-    """Weight u repeated v times under agg: u*v for sum, u**v for product."""
-    if op == "sum":
-        return u * v
-    return u ** v
 
 
 def aggregate_k_smallest(
@@ -316,8 +323,8 @@ def aggregate_k_smallest(
     """Aggregate (same operator as ``op``) of the k smallest grid weights.
 
     For max this is just the k-th smallest weight.  For sum/product the final
-    counting pass at the found weight also folds prefix aggregates of the
-    split (ComputeP acts as the q=1 split), and duplicate weights are
+    kernel pass at the found weight also folds prefix aggregates of the left
+    side (without a split, of the first array), and duplicate weights are
     corrected by ``agg``-ing ``k - p`` copies of the k-th weight — a negative
     count removes surplus copies.  Exact termination (integers) guarantees
     ``p >= k``; with reals the found weight may sit up to ``eps`` above the
@@ -326,44 +333,36 @@ def aggregate_k_smallest(
     if agg != arrays.op:
         raise ValueError(f"agg {agg!r} must equal the arrays' op {arrays.op!r}")
     ww = kth_smallest(arrays, k, eps=eps, split=split)
-    if arrays.op == "max":
+    op, exact = arrays.op, arrays.is_integer
+    if op == "max":
         return ww
-    exact = arrays.is_integer
-    if split is not None:
-        s_l, ps_l, q = split.s_l, split.ps_l, split.q
-    else:
-        # ComputeP is the q = 1 case of the split scheme; d = 1 degenerates to
-        # a single identity right-side element.
-        s_l = arrays.arrays[0]
-        ps_l = tuple(
-            itertools.accumulate(
-                s_l,
-                (lambda a, b: a + b) if arrays.op == "sum" else (lambda a, b: a * b),
-                initial=0 if arrays.op == "sum" else 1,
-            )
-        )
-        q = 1
-    right = _right_combos(arrays, q)
-    p = 0
-    pagg = 0 if arrays.op == "sum" else 1
-    for s in right:
-        j = bisect.bisect_right(s_l, _threshold(arrays.op, exact, ww, s))
-        p += j
-        if arrays.op == "sum":
-            pagg += ps_l[j] + s * j
-        else:
-            pagg *= ps_l[j] * s**j
-    surplus = k - p
-    if exact:
-        assert p >= k, "integer search must terminate with count >= k"
-        if arrays.op == "sum":
-            return pagg + ww * surplus
-        removed = ww ** (-surplus)
-        assert pagg % removed == 0, "surplus copies of ww(k) divide the aggregate"
-        return pagg // removed
-    if arrays.op == "sum":
-        return pagg + ww * surplus
-    return pagg * ww**surplus
+    split = _split(arrays, 1) if split is None else split
+    # int64 partial aggregates only where n^d * wmax bounds them all.
+    wide = exact and (op == "product" or arrays.grid_size * arrays.wmax > _INT64_MAX)
+    cast = int if exact else float
+    p, pagg = 0, (0 if op == "sum" else 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r, j in _ranks(arrays, ww, *_sides(arrays, split)):
+            p += int(j.sum())
+            parts = split.prefix[j]
+            if wide:
+                parts, r, j = parts.astype(object), r.astype(object), j.astype(object)
+            if op == "sum":
+                pagg += cast(parts.sum()) + cast((r * j).sum())
+            else:
+                pagg *= cast(parts.prod()) * cast((r**j).prod())
+        surplus = k - p
+        if exact:
+            assert p >= k, "integer search must terminate with count >= k"
+            if op == "sum":
+                return pagg + ww * surplus
+            removed = ww ** (-surplus)
+            assert pagg % removed == 0, "surplus copies of ww(k) divide the aggregate"
+            return pagg // removed
+        result = pagg + ww * surplus if op == "sum" else pagg * np.float64(ww) ** surplus
+    if not math.isfinite(result):
+        raise ValueError(f"the {op} of the {k} smallest weights leaves the float64 range")
+    return float(result)
 
 
 def all_weights(arrays: SortedWeightArrays) -> list:

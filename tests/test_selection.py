@@ -2,9 +2,14 @@
 
 import math
 import random
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rangecube import selection
 from rangecube.selection import (
     SortedWeightArrays,
     aggregate_k_smallest,
@@ -246,3 +251,164 @@ class TestAggregate:
         for k in (1, 5, 60, 125):
             got = aggregate_k_smallest(arrays, "product", k, eps=1e-12)
             assert got == pytest.approx(math.prod(weights[:k]), rel=1e-9)
+
+
+class TestFloatDomain:
+    """Non-finite float weights are rejected with a named cause; finite ones
+    always give a finite answer or a ValueError, and the search terminates."""
+
+    @pytest.mark.parametrize(
+        "rows, cause",
+        [
+            ([[0.5, float("inf")]], "infinite"),
+            ([[float("-inf"), 0.5]], "infinite"),
+            ([[0.5, float("nan")]], "NaN"),
+            ([[float("nan"), 0.5]], "NaN"),
+            ([[0.5, 2**1100]], "int past the float range"),
+            ([[1e308, 1.7e308]] * 2, "finite float64 range"),
+        ],
+    )
+    def test_rejected(self, rows, cause):
+        with pytest.raises(ValueError, match=cause):
+            kth_smallest(SortedWeightArrays(rows, "sum"), 1)
+
+    @pytest.mark.parametrize(
+        "rows", [[[1e200, 2e200]] * 2, [[1e-200, 1.0]] * 2, [[1e300], [1e300], [1e-300]]]
+    )
+    def test_float_product_leaving_range_rejected(self, rows):
+        with pytest.raises(ValueError, match="finite float64 range"):
+            SortedWeightArrays(rows, "product")
+
+    def test_float_product_aggregate_past_range_rejected(self):
+        arrays = SortedWeightArrays([[1e100, 1e101]] * 2, "product")
+        got = aggregate_k_smallest(arrays, "product", 1, eps=1e190)
+        assert got == pytest.approx(1e200, rel=0.1)
+        with pytest.raises(ValueError, match="float64 range"):
+            aggregate_k_smallest(arrays, "product", 2, eps=1e190)
+
+    def test_int_set_with_big_int_stays_exact(self):
+        arrays = SortedWeightArrays([[1, 2**1100]], "max")
+        assert kth_smallest(arrays, 2) == 2**1100
+
+    def test_adjacent_float_bounds_terminate(self):
+        """Bounds one float apart with eps below the float spacing: the search
+        stops on the exact weight (it used to loop forever for k = 2)."""
+        code = (
+            "import math; from rangecube.selection import SortedWeightArrays, kth_smallest\n"
+            "lo = 1e10; hi = math.nextafter(lo, math.inf)\n"
+            "a = SortedWeightArrays([[lo, hi]], 'sum')\n"
+            "assert kth_smallest(a, 1, eps=1e-9) == lo\n"
+            "assert kth_smallest(a, 2, eps=1e-9) == hi\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+    def test_cli_select_on_inf_file_exits_with_error(self, tmp_path):
+        arrays = tmp_path / "arrays.txt"
+        arrays.write_text("0.5 inf\n1.0 2.0\n")
+        script = tmp_path / "s.txt"
+        script.write_text("select 1\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "rangecube", "query", "select:op=sum", str(arrays), str(script)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "infinite" in proc.stderr
+
+
+def check_against_oracle(arrays, splits, ks=None):
+    """count_leq, kth_smallest and aggregate_k_smallest against all_weights."""
+    weights = all_weights(arrays)
+    agg = {"sum": sum, "product": math.prod, "max": max}[arrays.op]
+    for split in splits:
+        for wt in sorted({w + dw for w in weights for dw in (-1, 0)}):
+            assert count_leq(arrays, wt, split) == sum(1 for w in weights if w <= wt)
+        for k in ks or range(1, len(weights) + 1):
+            assert kth_smallest(arrays, k, split=split) == weights[k - 1]
+            got = aggregate_k_smallest(arrays, arrays.op, k, split=split)
+            assert got == agg(weights[:k])
+            assert type(got) is int
+
+
+class TestKernelEdges:
+    def test_int_sum_aggregate_past_int64(self):
+        arrays = SortedWeightArrays([[2**61, 2**61 + 1], [2**61, 2**61]], "sum")
+        assert aggregate_k_smallest(arrays, "sum", 4) > 2**63
+        check_against_oracle(arrays, [None, build_split(arrays, 1)])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[3, 2**40], [5, 2**40]],  # weights past int64: Python ints
+            [[3, 2**20], [5, 2**20]],  # weights fit int64, aggregates do not
+            [[3, 2**20, 2**21], [5, 7, 2**21], [1, 2**20, 2**21]],
+        ],
+    )
+    def test_int_product_past_int64(self, rows):
+        arrays = SortedWeightArrays(rows, "product")
+        splits = [None] + [build_split(arrays, q) for q in range(1, arrays.d)]
+        check_against_oracle(arrays, splits)
+
+    @pytest.mark.parametrize("op", ["sum", "product", "max"])
+    def test_right_side_spanning_several_blocks(self, monkeypatch, op):
+        monkeypatch.setattr(selection, "_BLOCK", 5)
+        rng = random.Random(37)
+        arrays = random_int_arrays(rng, op, d=4, n=3, lo=1, hi=9)
+        splits = [None] + [build_split(arrays, q) for q in range(1, arrays.d)]
+        check_against_oracle(arrays, splits)
+
+    def test_right_side_spanning_several_blocks_floats(self, monkeypatch):
+        rng = random.Random(41)
+        arrays = SortedWeightArrays(
+            [sorted(rng.uniform(0.5, 2.0) for _ in range(4)) for _ in range(3)], "product"
+        )
+        weights = all_weights(arrays)
+        expected = [kth_smallest(arrays, k, eps=1e-12) for k in (1, 20, 64)]
+        monkeypatch.setattr(selection, "_BLOCK", 3)
+        for k, want in zip((1, 20, 64), expected):
+            assert kth_smallest(arrays, k, eps=1e-12) == want
+            assert want == pytest.approx(weights[k - 1], abs=1e-11)
+            got = aggregate_k_smallest(arrays, "product", k, eps=1e-12)
+            assert got == pytest.approx(math.prod(weights[:k]), rel=1e-9)
+
+    def test_storage_stays_within_left_plus_block(self, monkeypatch):
+        """Without a split the kernel holds the first array and one right-side
+        block, never the n^(d-1) right side (here 4 MB of int64)."""
+        block, n = 4096, 80
+        monkeypatch.setattr(selection, "_BLOCK", block)
+        rng = random.Random(43)
+        arrays = random_int_arrays(rng, "sum", d=4, n=n, hi=1000)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            kth_smallest(arrays, n**4 // 3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * (n + block) * 8
+
+
+@st.composite
+def edge_weight_arrays(draw):
+    """Int arrays for sum, product and max with d 1-4, n 1-5 and entries
+    from {0, 1, small, near 2**62 / d}."""
+    op = draw(st.sampled_from(["sum", "product", "max"]))
+    d, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    near = (1 << 62) // d
+    entry = st.one_of(
+        st.sampled_from([0, 1]), st.integers(2, 9), st.integers(near - 4, near)
+    )
+    if op == "product":
+        entry = entry.filter(lambda v: v > 0)
+    rows = [sorted(draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(d)]
+    arrays = SortedWeightArrays(rows, op)
+    ks = draw(st.lists(st.integers(1, arrays.grid_size), max_size=3))
+    return arrays, sorted({1, arrays.grid_size, *ks})
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_weight_arrays())
+def test_selection_matches_oracle_on_edges(case):
+    arrays, ks = case
+    splits = [None] + [build_split(arrays, q) for q in range(1, arrays.d)]
+    check_against_oracle(arrays, splits, ks)
