@@ -31,7 +31,7 @@ from .cube import (
     brute_force_range,
     make_cube,
 )
-from .dynamic import BlockPartition, FenwickCube, HybridCube
+from .dynamic import FenwickCube, HybridCube
 from .formats import dump_cube_text, load_cube, parse_cube_text, save_cube
 from .medians import (
     CubeMedianIndex,

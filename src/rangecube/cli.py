@@ -25,8 +25,9 @@ Four commands:
   :func:`run_script`.  That loop answers each run of reads between
   ``update`` lines with one batched read when the structure has one
   (``prefix`` and ``rmq``, whose whole script is one run); output, counters,
-  error messages and oracle checks stay those of one read at a time.  Sum
-  updates on int cubes keep every cell within the load-time overflow bound.
+  error messages and oracle checks stay those of one read at a time.  The
+  structures check the numeric domain themselves: the int sum bound on load
+  and on every update, float-only product and finite float cells.
 
 * ``bench`` — deterministic touched-cell statistics for hybrid parameter
   sweeps against the predicted bounds.
@@ -58,7 +59,6 @@ from .cube import (
     MAX_DIMENSIONS,
     OPS,
     SUM,
-    SUM_SAFE_BOUND,
     DataCube,
     PrefixCube,
     QueryBox,
@@ -240,19 +240,6 @@ def _structure_options(spec: dict, options: dict) -> dict:
     return values
 
 
-_OVERFLOW_RISK = "overflow risk: |value| * cell count must stay below 2**62 for sum cubes"
-
-
-def _check_cube_op(cube: DataCube, op):
-    if op.name == "sum" and cube.kind == "int":
-        # Python ints, so the peak of -2**63 is exact (np.abs would wrap).
-        peak = max(int(cube.values.max()), -int(cube.values.min()))
-        if peak * cube.size >= SUM_SAFE_BOUND:
-            raise CliError(_OVERFLOW_RISK)
-    if op.name == "product" and cube.kind != "float":
-        raise CliError("product structures are only offered on float cubes")
-
-
 # -- build steps -------------------------------------------------------------
 #
 # A build step takes the converted options, the data path and the oracle flag
@@ -275,14 +262,8 @@ class _BoxReads:
     read_many: Optional[Callable] = None  # static structures: (lo, hi) N x d arrays -> answers
 
 
-def _load_table_cube(data_path, op) -> DataCube:
-    cube = load_cube(data_path)
-    _check_cube_op(cube, op)
-    return cube
-
-
 def _build_prefix(o, data_path, oracle):
-    cube = _load_table_cube(data_path, o["op"])
+    cube = load_cube(data_path)
     pc = PrefixCube(cube, o["op"])
     return _BoxReads(
         cube, o["op"], pc.range_aggregate, lambda: pc.lookups_last_query, cube,
@@ -300,12 +281,12 @@ def _updatable(cube, op, structure, oracle):
 
 
 def _build_fenwick(o, data_path, oracle):
-    cube = _load_table_cube(data_path, o["op"])
+    cube = load_cube(data_path)
     return _updatable(cube, o["op"], FenwickCube(cube, o["op"]), oracle)
 
 
 def _build_hybrid(o, data_path, oracle):
-    cube = _load_table_cube(data_path, o["op"])
+    cube = load_cube(data_path)
     return _updatable(cube, o["op"], HybridCube(cube, o["op"], o["k"], o["q"]), oracle)
 
 
@@ -398,10 +379,6 @@ def _box_update(s: _BoxReads, cmd, oracle):
         delta = _number(cmd.args[-1], s.cube.kind)
     except ValueError:
         raise ValueError(f"bad update arguments {cmd.raw!r}") from None
-    if s.op.name == "sum" and s.cube.kind == "int":
-        # Every cell kept within the load-time bound keeps every sum in int64.
-        if abs(s.structure.point_read(coords) + delta) * s.cube.size >= SUM_SAFE_BOUND:
-            raise ValueError(_OVERFLOW_RISK)
     s.structure.update(coords, delta)
     if oracle:
         s.twin.values[coords] = s.op.combine(s.twin.values[coords].item(), delta)

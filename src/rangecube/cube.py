@@ -10,6 +10,7 @@ tested against.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import operator
@@ -40,14 +41,6 @@ MAX_DIMENSIONS = 6
 
 #: Integer sum cubes are safe from int64 overflow when |value| * cells < 2**62.
 SUM_SAFE_BOUND = 1 << 62
-
-
-def _exact_div(a, b):
-    """Inverse of multiplication; keeps ints exact when they divide evenly."""
-    if isinstance(a, int) and isinstance(b, int) and b != 0 and a % b == 0:
-        return a // b
-    return a / b
-
 
 @dataclass(frozen=True)
 class AggregateOp:
@@ -83,7 +76,7 @@ class AggregateOp:
 
 
 SUM = AggregateOp("sum", 0, operator.add, operator.sub, np.add, np.subtract)
-PRODUCT = AggregateOp("product", 1, operator.mul, _exact_div, np.multiply, np.true_divide)
+PRODUCT = AggregateOp("product", 1, operator.mul, operator.truediv, np.multiply, np.true_divide)
 XOR = AggregateOp("xor", 0, operator.xor, operator.xor, np.bitwise_xor, np.bitwise_xor)
 MIN = AggregateOp("min", math.inf, min, None, np.minimum)
 MAX = AggregateOp("max", -math.inf, max, None, np.maximum)
@@ -93,6 +86,7 @@ OPS = {op.name: op for op in (SUM, PRODUCT, XOR, MIN, MAX)}
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 #: numpy dtype of each cube kind.
@@ -142,7 +136,8 @@ def _convert_array(values: np.ndarray, kind: Optional[str]) -> np.ndarray:
 
 
 class DataCube:
-    """Dense d-dimensional array of int64 or float64 values.
+    """Dense d-dimensional array of int64 or float64 values; float values are
+    finite (NaN and +-inf are rejected).
 
     Cell addressing is row-major with dimension 0 slowest, i.e. the flat value
     sequence enumerates the last coordinate fastest.
@@ -177,6 +172,10 @@ class DataCube:
                     f"value count {len(flat)} does not match extent product {ncells}"
                 )
             arr = _convert_list(flat, kind)
+        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+            i = int(np.argmin(np.isfinite(arr)))
+            cell = tuple(int(c) for c in np.unravel_index(i, dims))
+            raise ValueError(f"cell {cell} holds {arr.flat[i]}; float cells must be finite")
         self.dims = dims
         self.values = arr.reshape(dims)
 
@@ -330,20 +329,71 @@ def brute_force_range(cube: DataCube, box: QueryBox, op: AggregateOp):
     return acc
 
 
+_OVERFLOW_RISK = "overflow risk: |value| * cell count must stay below 2**62 for sum cubes"
+
+
+def _check_sum_bound(peak: int, cells: int, message: str = _OVERFLOW_RISK) -> None:
+    """Reject ``peak * cells`` at or past ``SUM_SAFE_BOUND``: below it, every
+    sum of at most ``cells`` terms of magnitude at most ``peak`` fits int64."""
+    if peak * cells >= SUM_SAFE_BOUND:
+        raise ValueError(message)
+
+
 def _check_table_domain(values: np.ndarray, op: AggregateOp, what: str) -> None:
-    """Reject a cube that ``op`` cannot give an exact, invertible table over."""
+    """Reject a cube that ``op`` cannot give an exact, invertible table over:
+    int sum cells keep ``|value| * cells`` below ``SUM_SAFE_BOUND`` and
+    product needs a float cube, so no int64 prefix wraps."""
     if not op.invertible:
         raise ValueError(f"operator {op.name} has no inverse; {what} needs one")
     if op.name == "xor" and values.dtype.kind != "i":
         raise ValueError("xor needs an integer cube")
     if op.name == "product" and np.any(values == 0):
         raise ValueError(f"product {what} is undefined with zero cells")
+    if op.name == "product" and values.dtype.kind == "i":
+        raise ValueError("product structures are only offered on float cubes")
+    if op.name == "sum" and values.dtype.kind == "i":
+        # Python ints, so the peak of -2**63 is exact (np.abs would wrap).
+        _check_sum_bound(max(int(values.max()), -int(values.min())), values.size)
+
+
+def _updated_cell(op: AggregateOp, values: np.ndarray, coords: tuple, delta):
+    """The value cell ``coords`` of ``values`` takes when combined with
+    ``delta``, rejected where it leaves the domain ``_check_table_domain``
+    admits; a float delta must be finite and an int cube's delta an integer."""
+    kind = values.dtype.kind
+    if kind == "i" and not isinstance(delta, (int, np.integer)):
+        raise ValueError(f"delta {delta!r} is not an integer; int cubes take int deltas")
+    if kind == "f" and not abs(delta) <= _FLOAT_MAX:
+        raise ValueError(f"delta {delta} is not a finite float")
+    # A numpy integer delta would combine in wrapping int64 arithmetic.
+    value = op.combine(values[coords].item(), int(delta) if kind == "i" else delta)
+    if kind == "f":
+        if not abs(value) <= _FLOAT_MAX:
+            raise ValueError(f"update would set cell {coords} to {value}, which is not finite")
+    elif op.name == "sum":
+        # The bound on the new cell also keeps the delta within int64.
+        _check_sum_bound(abs(value), values.size)
+    elif not _INT64_MIN <= delta <= _INT64_MAX:
+        raise ValueError(f"delta {delta} does not fit a 64-bit signed integer")
+    if op.name == "product" and value == 0:
+        raise ValueError(f"product update would set cell {coords} to zero")
+    return value
+
+
+_NO_ERRSTATE = contextlib.nullcontext()
+
+
+def _quiet(values: np.ndarray):
+    """Silence numpy's float overflow warnings on ``values``: the fold check
+    reports a prefix that left the finite floats when a query reads it."""
+    return np.errstate(over="ignore", invalid="ignore") if values.dtype.kind == "f" else _NO_ERRSTATE
 
 
 def _prefix_table(values: np.ndarray, op: AggregateOp) -> np.ndarray:
     """Prefix aggregates of ``values``: one ``op`` accumulate per axis."""
-    for axis in range(values.ndim):
-        values = op.ufunc.accumulate(values, axis=axis)
+    with _quiet(values):
+        for axis in range(values.ndim):
+            values = op.ufunc.accumulate(values, axis=axis)
     return values
 
 
@@ -359,13 +409,23 @@ _CORNERS = tuple(
 
 
 _UNDERFLOW = "product underflow: a prefix product rounded to zero"
+_OVERFLOW = "float overflow: a prefix aggregate or the answer is not finite"
 
 
-def _check_underflow(op: AggregateOp, *folds) -> None:
-    """Reject a zero product fold: product tables hold no zero cell, so a zero
-    means a prefix product underflowed."""
-    if op.name == "product" and 0 in folds:
+def _check_fold(op: AggregateOp, *folds) -> None:
+    """Reject a fold (a number, or an array of them) that does not hold the
+    exact aggregate it stands for.  Product tables hold no zero cell, so a
+    zero product fold means a prefix product underflowed; cells are finite,
+    so a non-finite float fold means a prefix overflowed."""
+    if isinstance(folds[0], np.ndarray):
+        zero = not all(fold.all() for fold in folds)
+        finite = all(np.isfinite(fold).all() for fold in folds)
+    else:
+        zero, finite = 0 in folds, all(map(math.isfinite, folds))
+    if op.name == "product" and zero:
         raise ValueError(_UNDERFLOW)
+    if not finite:
+        raise ValueError(_OVERFLOW)
 
 
 def _inclusion_exclusion(op: AggregateOp, lo: Sequence[int], hi: Sequence[int], lookup):
@@ -374,8 +434,8 @@ def _inclusion_exclusion(op: AggregateOp, lo: Sequence[int], hi: Sequence[int], 
     ``lookup(corner)`` returns the prefix aggregate ending at ``corner``; it is
     called only for corners with no ``-1`` coordinate (an empty prefix, whose
     value is the identity).  The even- and odd-parity corners are folded
-    separately and joined by one inverse, which keeps integer division exact
-    for product; a fold that underflowed to zero cannot be divided back out.
+    separately and joined by one inverse; a fold that underflowed to zero
+    cannot be divided back out, and one that overflowed cannot be subtracted.
     """
     keep = drop = op.identity
     for low, even in _CORNERS[len(lo)]:
@@ -386,8 +446,11 @@ def _inclusion_exclusion(op: AggregateOp, lo: Sequence[int], hi: Sequence[int], 
             keep = op.combine(keep, lookup(corner))
         else:
             drop = op.combine(drop, lookup(corner))
-    _check_underflow(op, keep, drop)
-    return op.inverse(keep, drop)
+    _check_fold(op, keep, drop)
+    answer = op.inverse(keep, drop)
+    if isinstance(answer, float):  # an int answer is exact once its folds are
+        _check_fold(op, answer)
+    return answer
 
 
 class PrefixCube:
@@ -420,25 +483,22 @@ class PrefixCube:
 
         One fancy-index gather per corner answers every box.  Answer ``i``
         equals ``range_aggregate(QueryBox(lo[i], hi[i]))`` after ``.tolist()``:
-        corners fold in the same order, empty corners are skipped, and int sum
-        and xor answers wrap only where that scalar answer leaves int64.  Int
-        product tables are rejected, since their exact division needs Python
-        ints.  Afterwards :attr:`lookups_last_query` holds the per-box count.
+        corners fold in the same order, empty corners are skipped, and the
+        same fold check rejects a batch holding one box that it rejects.
+        Afterwards :attr:`lookups_last_query` holds the per-box count.
         """
         op, table = self.op, self.table
-        if op.name == "product" and table.dtype.kind == "i":
-            raise ValueError("batched product reads need a float cube")
         lo, hi = _check_boxes(lo, hi, self.dims)
         below = lo - 1  # -1 marks an empty prefix; its gather is discarded
         keep = np.full(len(lo), op.identity, dtype=table.dtype)
         drop = keep.copy()
-        with np.errstate(all="ignore"):  # Python float arithmetic does not warn
+        with _quiet(table):
             for low, even in _CORNERS[len(self.dims)]:
                 value = table[tuple(below[:, j] if x else hi[:, j] for j, x in enumerate(low))]
                 fold = keep if even else drop
                 np.copyto(fold, op.ufunc(fold, value), where=(below[:, list(low)] >= 0).all(axis=1))
-            if op.name == "product" and not (keep.all() and drop.all()):
-                raise ValueError(_UNDERFLOW)
+            _check_fold(op, keep, drop)
             answers = op.inverse_ufunc(keep, drop)
+        _check_fold(op, answers)
         self.lookups_last_query = 1 << len(self.dims) if len(lo) else 0
         return answers

@@ -26,32 +26,33 @@ which makes "set cell to u" derivable from "combine cell with delta" and
 provides cheap point reads.
 
 Min/max are not invertible and are rejected here; use the static structures.
-Product cubes must keep every cell nonzero: builds, updates and
-:meth:`set_value` that would store a zero are rejected.
+Builds and updates keep every cell in the domain the cube module's table
+check admits: int sum cells keep ``|value| * cells`` below ``2**62``, product
+needs a float cube with no zero cell, and float cells stay finite.  A float
+table whose prefix overflowed is reported when a query reads it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .cube import (
-    _INT64_MAX,
-    _INT64_MIN,
     AggregateOp,
     DataCube,
     QueryBox,
+    _check_fold,
     _check_table_domain,
-    _check_underflow,
     _inclusion_exclusion,
+    _quiet,
+    _updated_cell,
 )
 
 __all__ = [
     "FenwickCube",
     "HybridCube",
-    "BlockPartition",
 ]
 
 
@@ -166,8 +167,9 @@ class _AxisProductTable:
         self.dims = cube.dims
         self._schemes = schemes
         table = cube.values.copy()
-        for axis, scheme in enumerate(schemes):
-            table = scheme.build(table, axis, op)
+        with _quiet(table):
+            for axis, scheme in enumerate(schemes):
+                table = scheme.build(table, axis, op)
         self.table = table
         self.shadow = cube.values.copy()
         self.cells_touched_last_update = 0
@@ -185,17 +187,11 @@ class _AxisProductTable:
     def update(self, coords, delta):
         """Combine the represented cell at ``coords`` with ``delta``."""
         coords = _check_coords(coords, self.dims)
-        op = self.op
-        if self.table.dtype.kind == "i" and not _INT64_MIN <= delta <= _INT64_MAX:
-            raise ValueError(f"delta {delta} does not fit a 64-bit signed integer")
-        value = op.combine(self.shadow[coords].item(), delta)
-        if op.name == "product" and value == 0:
-            raise ValueError(f"product update would set cell {coords} to zero")
-        if self.table.dtype.kind == "i" and not _INT64_MIN <= value <= _INT64_MAX:
-            raise ValueError(f"update would set cell {coords} to {value}, outside int64")
+        value = _updated_cell(self.op, self.shadow, coords, delta)
         axes = [s.update_indices(c) for s, c in zip(self._schemes, coords)]
         idx = self._index(axes)
-        self.table[idx] = op.ufunc(self.table[idx], delta)
+        with _quiet(self.table):
+            self.table[idx] = self.op.ufunc(self.table[idx], delta)
         self.cells_touched_last_update = math.prod(len(a) for a in axes)
         self.shadow[coords] = value
 
@@ -211,8 +207,9 @@ class _AxisProductTable:
     def prefix_query(self, b):
         """Aggregate over the prefix box ``[0..b[0]] x ... x [0..b[d-1]]``."""
         b = _check_coords(b, self.dims)
-        value = self._prefix(self._index(s.query_indices(c) for s, c in zip(self._schemes, b)))
-        _check_underflow(self.op, value)
+        with _quiet(self.table):
+            value = self._prefix(self._index(s.query_indices(c) for s, c in zip(self._schemes, b)))
+        _check_fold(self.op, value)
         return value
 
     def _prefix(self, index: tuple):
@@ -243,7 +240,8 @@ class _AxisProductTable:
             touched = max(touched, self.cells_touched_last_query)
             return value
 
-        value = _inclusion_exclusion(self.op, box.lo, box.hi, lookup)
+        with _quiet(self.table):
+            value = _inclusion_exclusion(self.op, box.lo, box.hi, lookup)
         self.cells_touched_last_query = touched
         return value
 
@@ -261,47 +259,9 @@ class FenwickCube(_AxisProductTable):
         super().__init__(cube, op, schemes)
 
     @property
-    def tree(self) -> np.ndarray:
-        """The Fenwick table (the same array as :attr:`table`)."""
-        return self.table
-
-    @property
     def op_cell_bound(self) -> int:
         """Worst-case cells touched by one update or one prefix query."""
         return math.prod(m.bit_length() for m in self.dims)
-
-
-class BlockPartition:
-    """Read-only view of one inner block-partition table of a :class:`HybridCube`.
-
-    Cells are addressed by one axis position per inner dimension: positions
-    below the extent are *entries* (an entry cell covers the rows from the
-    start of its block through the entry), positions past the extent are
-    *blocks* (a block cell covers every row of all blocks strictly before it).
-    """
-
-    def __init__(self, hybrid: "HybridCube", outer: tuple):
-        self._table = hybrid.table[outer]
-        self._dims = hybrid.dims[hybrid.q :]
-        self._k = hybrid.k
-
-    @property
-    def block_size(self) -> int:
-        return self._k
-
-    def block_counts(self) -> tuple:
-        return tuple(-(-m // self._k) for m in self._dims)
-
-    def cell(self, positions: Sequence[int]):
-        return self._table[tuple(positions)].item()
-
-    def covered_rows(self, axis: int, position: int) -> range:
-        """Rows of inner dimension ``axis`` aggregated into ``position``."""
-        m = self._dims[axis]
-        if position < m:
-            return range(position // self._k * self._k, position + 1)
-        block = position - m
-        return range(0, block * self._k)
 
 
 class HybridCube(_AxisProductTable):
@@ -335,7 +295,6 @@ class HybridCube(_AxisProductTable):
             (_OuterAxis if j < self.q else _InnerAxis)(m, self.k)
             for j, m in enumerate(cube.dims)
         )
-        self.nblocks = tuple(s.nblocks for s in schemes)
         super().__init__(cube, op, schemes)
 
     @property
@@ -347,21 +306,3 @@ class HybridCube(_AxisProductTable):
     def query_cell_bound(self) -> int:
         n = max(self.dims)
         return (self.k + -(-n // self.k)) ** self.q * 2 ** (len(self.dims) - self.q)
-
-    def partition(self, outer: Sequence[int]) -> BlockPartition:
-        """The inner block partition stored for one outer axis-position tuple."""
-        outer = tuple(int(x) for x in outer)
-        if len(outer) != self.q:
-            raise ValueError(f"expected {self.q} outer positions, got {len(outer)}")
-        for j, x in enumerate(outer):
-            if not 0 <= x < self.dims[j] + self.nblocks[j]:
-                raise IndexError(f"outer position {x} out of range in dimension {j}")
-        return BlockPartition(self, outer)
-
-    def outer_covered_rows(self, j: int, position: int) -> range:
-        """Rows of outer dimension ``j`` contributing to axis ``position``."""
-        m = self.dims[j]
-        if position < m:
-            return range(position, position + 1)
-        block = position - m
-        return range(block * self.k, min(m, (block + 1) * self.k))

@@ -7,8 +7,10 @@ Cube file layout::
     line 3:  int | float            value kind
     then:    prod(m) values         row-major, any whitespace layout
 
-Integer cubes round-trip bit-exactly.  Scale files and weight-array files hold
-one whitespace-separated number list per line.
+Integer cubes round-trip bit-exactly.  Float values must be finite: a cube
+file holding ``nan``, ``inf`` or a value past the float range is rejected.
+Scale files and weight-array files hold one whitespace-separated number list
+per line.
 """
 
 from __future__ import annotations
@@ -98,6 +100,11 @@ def parse_cube_text(text: str) -> DataCube:
         raise ValueError(
             f"line {_line_of(text, start + count)}: trailing token {tokens[start + count]!r} "
             "after all values"
+        )
+    if kind == "float" and not np.isfinite(values).all():
+        i = int(np.argmin(np.isfinite(values)))
+        raise ValueError(
+            f"line {_line_of(text, start + i)}: value {i + 1} is not a finite float: {body[i]!r}"
         )
     return make_cube(dims, values, kind=kind)
 

@@ -31,7 +31,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cube import SUM, SUM_SAFE_BOUND, DataCube, QueryBox, _inclusion_exclusion, _prefix_table
+from .cube import (
+    SUM,
+    DataCube,
+    QueryBox,
+    _check_sum_bound,
+    _inclusion_exclusion,
+    _prefix_table,
+    _quiet,
+)
 
 __all__ = [
     "WeightedPoints1D",
@@ -463,7 +471,9 @@ class CubeMedianIndex:
 
     Int weights with int scales are summed exactly in int64; the build
     rejects them with a ``ValueError`` once peak weight * cell count *
-    peak |scale| reaches ``SUM_SAFE_BOUND``, so no table can wrap.
+    peak |scale| reaches ``2**62``, so no table can wrap.  Scales must be
+    finite; a float table whose sum overflowed is reported when a query
+    reads it.
     """
 
     def __init__(self, cube: DataCube, scales: Sequence[Sequence]):
@@ -477,6 +487,10 @@ class CubeMedianIndex:
                 raise ValueError(
                     f"scale list {j} has {len(scale)} entries for extent {m}"
                 )
+            # NaN would pass the sortedness test below; a huge int is finite.
+            bad = [x for x in scale if not -math.inf < x < math.inf]
+            if bad:
+                raise ValueError(f"scale list {j} holds {bad[0]}; scales must be finite")
             if any(a > b for a, b in zip(scale, scale[1:])):
                 raise ValueError(f"scale list {j} is not sorted ascending")
         self.cube = cube
@@ -489,11 +503,12 @@ class CubeMedianIndex:
             # Python ints, so a scale past int64 is measured, not converted;
             # each list is sorted, so its peak |scale| sits at an end.
             peak_scale = max(abs(int(x)) for scale in scales for x in (scale[0], scale[-1]))
-            if int(cube.values.max()) * cube.size * max(peak_scale, 1) >= SUM_SAFE_BOUND:
-                raise ValueError(
-                    "overflow risk: peak weight * cell count * peak |scale| must stay "
-                    "below 2**62 for int medians"
-                )
+            _check_sum_bound(
+                int(cube.values.max()) * max(peak_scale, 1),
+                cube.size,
+                "overflow risk: peak weight * cell count * peak |scale| must stay "
+                "below 2**62 for int medians",
+            )
         dtype = np.int64 if exact else np.float64
         values = cube.values.astype(dtype)
         self.ps_cube = _prefix_table(values, SUM)
@@ -502,7 +517,8 @@ class CubeMedianIndex:
             shape = [1] * cube.ndim
             shape[j] = cube.dims[j]
             factor = np.array(scale, dtype=dtype).reshape(shape)
-            self.psd_cubes.append(_prefix_table(values * factor, SUM))
+            with _quiet(values):
+                self.psd_cubes.append(_prefix_table(values * factor, SUM))
         self.rangesum_probes_last_query = 0
 
     def range_sum(self, table: np.ndarray, lo: Sequence[int], hi: Sequence[int]):

@@ -135,9 +135,6 @@ class SparseTable:
     def _block_len(self, j: int, kt: tuple) -> int:
         return self.grouping.stretch[j] << kt[self.grouping.group_of[j]]
 
-    def _valid_extents(self, kt: tuple) -> tuple:
-        return tuple(m - self._block_len(j, kt) + 1 for j, m in enumerate(self.dims))
-
     def _fold(self, arr: np.ndarray, shifts: dict) -> np.ndarray:
         """Combine the ``2**len(shifts)`` views of ``arr`` that start at 0 or
         at ``shifts[j]`` along each axis j in ``shifts``: where ``arr`` holds
@@ -227,8 +224,8 @@ class SparseTable:
         Boxes are grouped by level tuple; each group takes ``2**d`` gathers
         from its level's table.  Answer ``i`` equals
         ``query(QueryBox(lo[i], hi[i]))`` after ``.tolist()``: blocks are
-        picked in the same order with the same ``min``/``max`` rule, so NaN
-        and -0.0 cells give the same answer.  Afterwards
+        picked in the same order with the same ``min``/``max`` rule, so -0.0
+        cells give the same answer.  Afterwards
         :attr:`lookups_last_query` holds the per-box count.
         """
         lo, hi = _check_boxes(lo, hi, self.dims)

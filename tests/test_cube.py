@@ -90,8 +90,8 @@ class TestMakeCube:
             (np.array([-(2**31), 0, 2**31 - 1], dtype=np.int32), "int", [-(2**31), 0, 2**31 - 1]),
             (np.array([-(2**63), 0, 2**63 - 1], dtype=np.int64), "int", [-(2**63), 0, 2**63 - 1]),
             (np.array([0, 1, 2**63 - 1], dtype=np.uint64), "int", [0, 1, 2**63 - 1]),
-            (np.array([0.1, -2.5, np.inf], dtype=np.float32), "float",
-             [float(np.float32(0.1)), -2.5, math.inf]),
+            (np.array([0.1, -2.5, 3e38], dtype=np.float32), "float",
+             [float(np.float32(0.1)), -2.5, float(np.float32(3e38))]),
             (np.array([0.1, -0.0, 5e-324], dtype=np.float64), "float", [0.1, -0.0, 5e-324]),
             (np.array([True, False, True]), "float", [1.0, 0.0, 1.0]),
             (np.array([1, 2.5, "3"], dtype=object), "float", [1.0, 2.5, 3.0]),
@@ -222,12 +222,13 @@ class TestPrefixCube:
             assert pc.lookups_last_query == 2 ** cube.ndim
 
     def test_product_small_integers_exact(self):
-        cube = make_cube([2, 2], [2, 3, 5, 7])
+        # Int product tables are rejected; small integers as floats stay exact.
+        cube = make_cube([2, 2], [2.0, 3.0, 5.0, 7.0])
         pc = PrefixCube(cube, PRODUCT)
         for coords in QueryBox.full(cube.dims).coords():
             box = QueryBox(coords, coords)
             assert pc.range_aggregate(box) == cube.cell(coords)
-        assert pc.range_aggregate(QueryBox([0, 1], [1, 1])) == 21
+        assert pc.range_aggregate(QueryBox([0, 1], [1, 1])) == 21.0
 
     def test_product_underflow_rejected(self):
         # The prefix products past the second cell round to 0.0.
@@ -330,18 +331,17 @@ class TestRangeAggregateMany:
         assert list(map(repr, got)) == [repr(pc.range_aggregate(b)) for b in boxes]
 
     def test_int_sum_matches_where_scalar_fits_int64(self):
-        # The prefix table wraps past 2**63; answers that fit int64 still match.
-        cube = make_cube([3], [1 << 62, 1 << 62, -(1 << 62)])
+        # A table that could wrap past 2**63 is rejected at build; at the
+        # bound's edge every batched answer equals the scalar one and the scan.
+        with pytest.raises(ValueError, match="overflow risk"):
+            PrefixCube(make_cube([3], [1 << 62, 1 << 62, -(1 << 62)]), SUM)
+        edge = (1 << 62) // 3  # 3 * edge < 2**62
+        cube = make_cube([3], [edge, edge, -edge])
         pc = PrefixCube(cube, SUM)
         boxes = list(every_box(cube.dims))
         got = pc.range_aggregate_many(*box_arrays(boxes)).tolist()
-        checked = 0
-        for box, value in zip(boxes, got):
-            scalar = pc.range_aggregate(box)
-            if -(1 << 63) <= scalar < 1 << 63:
-                assert value == scalar
-                checked += 1
-        assert checked >= 2
+        assert got == [pc.range_aggregate(b) for b in boxes]
+        assert got == [brute_force_range(cube, b, SUM) for b in boxes]
 
     def test_product_underflow_rejected(self):
         pc = PrefixCube(make_cube([3], [1e-200, 1e-200, 5.0]), PRODUCT)
@@ -350,9 +350,9 @@ class TestRangeAggregateMany:
             pc.range_aggregate_many([[0], [2]], [[0], [2]])
 
     def test_int_product_rejected(self):
-        pc = PrefixCube(make_cube([2, 2], [2, 3, 5, 7]), PRODUCT)
+        # Int prefix products would wrap, so the build refuses them.
         with pytest.raises(ValueError, match="float cube"):
-            pc.range_aggregate_many([[0, 0]], [[1, 1]])
+            PrefixCube(make_cube([2, 2], [2, 3, 5, 7]), PRODUCT)
 
     @pytest.mark.parametrize(
         "lo, hi, error",

@@ -38,7 +38,8 @@ def shadow_prefix(cube_values, b, op):
 class TestFenwick:
     def test_zero_cube_identity_tree(self):
         fc = FenwickCube(zero_cube([4, 4]), SUM)
-        assert not fc.tree.any()
+        assert fc.table.shape == (4, 4)
+        assert not fc.table.any()
 
     def test_1d_prefix(self):
         fc = FenwickCube(make_cube([4], [1, 2, 3, 4]), SUM)
@@ -138,9 +139,10 @@ class TestHybrid:
     def test_q_zero_single_partition(self):
         cube = make_cube([4, 4], range(16))
         hc = HybridCube(cube, SUM, k=2, q=0)
-        bp = hc.partition(())
+        # every axis is inner: one extra slot per block in each dimension
+        assert hc.table.shape == (4 + 2, 4 + 2)
         # block cells cover all rows of blocks strictly before them
-        assert bp.cell((4 + 1, 4 + 1)) == sum(
+        assert hc.table[4 + 1, 4 + 1] == sum(
             cube.cell((i, j)) for i in range(2) for j in range(2)
         )
         assert hc.prefix_query((3, 3)) == sum(range(16))
@@ -152,9 +154,24 @@ class TestHybrid:
         assert hc.cells_touched_last_update <= 2 ** 2
 
     def test_covered_rows_tiling(self):
-        """The 2**(d-q) query cells of qualifying outer tuples tile the prefix box."""
-        cube = zero_cube([5, 4])
+        """Every table cell aggregates the rows it covers, and the 2**(d-q)
+        query cells of qualifying outer positions tile the prefix box."""
+        cube = make_cube([5, 4], random.Random(4).choices(range(-9, 10), k=20))
         hc = HybridCube(cube, SUM, k=2, q=1)
+
+        def covered_rows(j, position):
+            # outer (j < q): an entry is its own row, a block slot its block's
+            # rows; inner: an entry covers its block up to itself, a block
+            # slot every row of the earlier blocks.
+            m, k = cube.dims[j], hc.k
+            if position < m:
+                return range(position, position + 1) if j < hc.q else range(position // k * k, position + 1)
+            block = position - m
+            return range(block * k, min(m, (block + 1) * k)) if j < hc.q else range(0, block * k)
+
+        for x, y in np.ndindex(hc.table.shape):
+            rows = [(r0, r1) for r0 in covered_rows(0, x) for r1 in covered_rows(1, y)]
+            assert hc.table[x, y] == sum(cube.cell(r) for r in rows)
         for b in QueryBox.full(cube.dims).coords():
             seen = set()
             blk0 = b[0] // hc.k
@@ -162,13 +179,10 @@ class TestHybrid:
                 cube.dims[0] + x for x in range(blk0)
             ]
             for x in outer_positions:
-                rows0 = hc.outer_covered_rows(0, x)
-                bp = hc.partition((x,))
                 blk1 = b[1] // hc.k
                 for y in (b[1], cube.dims[1] + blk1):
-                    rows1 = bp.covered_rows(0, y)
-                    for r0 in rows0:
-                        for r1 in rows1:
+                    for r0 in covered_rows(0, x):
+                        for r1 in covered_rows(1, y):
                             assert (r0, r1) not in seen
                             seen.add((r0, r1))
             assert seen == {(i, j) for i in range(b[0] + 1) for j in range(b[1] + 1)}
@@ -285,25 +299,33 @@ class TestCrossStructure:
     @pytest.mark.parametrize("name", sorted(STRUCTURES))
     @pytest.mark.parametrize("op", [SUM, XOR], ids=["sum", "xor"])
     def test_delta_outside_int64_rejected(self, name, op):
+        # A sum delta past int64 breaks the per-cell bound first.
         structure = STRUCTURES[name](make_cube([4], [1, 2, 3, 4]), op)
         before = structure.table.copy()
         for delta in (1 << 63, -(1 << 63) - 1, 99999999999999999999):
-            with pytest.raises(ValueError, match=f"delta {delta} does not fit"):
+            message = "overflow risk" if op is SUM else f"delta {delta} does not fit"
+            with pytest.raises(ValueError, match=message):
                 structure.update([0], delta)
-        with pytest.raises(ValueError, match="does not fit"):
+        with pytest.raises(ValueError, match="overflow risk" if op is SUM else "does not fit"):
             structure.set_value([0], 1 << 70)
         assert (structure.table == before).all()
         assert structure.point_read([0]) == 1
 
     @pytest.mark.parametrize("name", sorted(STRUCTURES))
     def test_sum_cell_outside_int64_rejected(self, name):
+        # Four cells: every cell must keep |value| * 4 below 2**62.
+        edge = (1 << 60) - 1
         structure = STRUCTURES[name](make_cube([4], [1, 2, 3, 4]), SUM)
+        structure.update([0], edge - 1)
+        structure.set_value([1], -edge)
         before = structure.table.copy()
-        with pytest.raises(ValueError, match="outside int64"):
-            structure.update([0], (1 << 63) - 1)
+        with pytest.raises(ValueError, match="overflow risk"):
+            structure.update([0], 1)
+        with pytest.raises(ValueError, match="overflow risk"):
+            structure.set_value([1], -edge - 1)
         assert (structure.table == before).all()
-        structure.update([0], (1 << 63) - 2)
-        assert structure.point_read([0]) == (1 << 63) - 1
+        assert structure.point_read([0]) == edge
+        assert structure.range_query(QueryBox([0], [3])) == edge - edge + 3 + 4
 
     def test_random_scripts_agree(self):
         """Fenwick, hybrid variants and a rebuilt prefix cube answer identically."""

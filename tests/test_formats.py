@@ -69,6 +69,10 @@ ERROR_CORPUS = [
     ("1\n2\nint\n0 -9223372036854775809\n",
      "value -9223372036854775809 does not fit a 64-bit signed integer"),
     ("1\n1\nint\n9223372036854775808 7\n", "line 4: trailing token '7' after all values"),
+    # Float cells must be finite; the first non-finite token is named.
+    ("1\n3\nfloat\n1.0\n2.0 nan\n", "line 5: value 3 is not a finite float: 'nan'"),
+    ("1\n2\nfloat\n-inf inf\n", "line 4: value 1 is not a finite float: '-inf'"),
+    ("1\n2\nfloat\n0.5\n1e400\n", "line 5: value 2 is not a finite float: '1e400'"),
 ]
 
 
@@ -91,12 +95,13 @@ class TestCubeFileEdges:
         assert cube.flat() == [1, 2, 3, 4]
 
     def test_floats_bit_identical_to_float(self):
-        tokens = ["nan", "-inf", "-0.0", "5e-324", "1e400", "0.1", "1_000.5", "2.2250738585072014e-308"]
+        # nan, inf and 1e400 no longer load (see ERROR_CORPUS).
+        tokens = ["-0.0", "5e-324", "0.1", "1_000.5", "2.2250738585072014e-308"]
         cube = parse_cube_text(f"1\n{len(tokens)}\nfloat\n" + "\t".join(tokens) + "\r\n")
         bits = [struct.pack("<d", v) for v in cube.flat()]
         assert bits == [struct.pack("<d", float(tok)) for tok in tokens]
-        assert math.copysign(1.0, cube.cell((2,))) == -1.0
-        assert cube.cell((4,)) == math.inf
+        assert math.copysign(1.0, cube.cell((0,))) == -1.0
+        assert cube.cell((1,)) == 5e-324
 
 
 class TestRoundTrip:

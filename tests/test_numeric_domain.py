@@ -1,0 +1,350 @@
+"""The numeric domain every structure accepts, checked at its edges.
+
+Int sum cells keep ``|value| * cells`` below ``2**62``; product needs a float
+cube; float cells, deltas and scales are finite.  What a structure cannot
+answer exactly raises a ``ValueError`` that names the cause.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rangecube import (
+    MAX,
+    MIN,
+    PRODUCT,
+    SUM,
+    XOR,
+    CubeMedianIndex,
+    PrefixCube,
+    QueryBox,
+    SparseTable,
+    brute_force_range,
+    cube_range_weighted_median,
+    make_cube,
+)
+from rangecube.dynamic import FenwickCube, HybridCube
+
+TABLES = {
+    "prefix": PrefixCube,
+    "fenwick": FenwickCube,
+    "hybrid": lambda cube, op: HybridCube(cube, op, k=min(2, max(cube.dims))),
+}
+
+FLOAT_MAX = float(np.finfo(np.float64).max)
+EPS = Fraction(float(np.finfo(np.float64).eps))
+
+
+def read(structure, box):
+    """One box read, whatever the structure calls it."""
+    if isinstance(structure, PrefixCube):
+        return structure.range_aggregate(box)
+    return structure.range_query(box)
+
+
+class TestIntSumBound:
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    @pytest.mark.parametrize(
+        "values",
+        [[2**62, 2**62, -(2**62)], [2**62, 2**62, 1, 1], [-(2**63), 0]],
+        ids=["wrap", "hybrid-repro", "int64-min"],
+    )
+    def test_cube_that_could_wrap_rejected(self, name, values):
+        # At the parent the box [0, 1] of the first two read -2**63, not 2**63.
+        with pytest.raises(ValueError, match=r"overflow risk: \|value\| \* cell count"):
+            TABLES[name](make_cube([len(values)], values), SUM)
+
+    @pytest.mark.parametrize("name", ["fenwick", "hybrid"])
+    def test_updates_past_bound_rejected(self, name):
+        structure = TABLES[name](make_cube([2], [0, 0]), SUM)
+        with pytest.raises(ValueError, match="overflow risk"):
+            structure.update([0], 2**62)
+        assert not structure.table.any()
+        structure.update([0], 2**61 - 1)
+        structure.update([1], 2**61 - 1)
+        assert read(structure, QueryBox([0], [1])) == 2**62 - 2
+
+    @pytest.mark.parametrize("name", ["fenwick", "hybrid"])
+    @pytest.mark.parametrize("op", [SUM, XOR], ids=["sum", "xor"])
+    def test_float_delta_rejected(self, name, op):
+        # At the parent a sum delta of -1.5 truncated the table cells and the
+        # shadow apart: the box [0, 3] of 1 2 3 4 read 8 where the cells sum to 9.
+        structure = TABLES[name](make_cube([4], [1, 2, 3, 4]), op)
+        before = structure.table.copy()
+        with pytest.raises(ValueError, match="-1.5 is not an integer"):
+            structure.update([0], -1.5)
+        assert (structure.table == before).all()
+        structure.update([0], np.int64(-1))
+        assert structure.point_read([0]) == op.combine(1, -1)
+        if op is SUM:  # a numpy delta is combined exactly, not in int64
+            with pytest.raises(ValueError, match="overflow risk"):
+                structure.update([1], np.int64(2**63 - 1))
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_bound_edge_exact(self, name):
+        edge = (1 << 62) // 6 - 1
+        cube = make_cube([2, 3], [edge, -edge, edge, edge, edge, -edge])
+        structure = TABLES[name](cube, SUM)
+        for box in (QueryBox([0, 0], [1, 2]), QueryBox([1, 0], [1, 1]), QueryBox([0, 1], [0, 1])):
+            assert read(structure, box) == brute_force_range(cube, box, SUM)
+
+
+class TestProduct:
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_int_product_rejected_float_exact(self, name):
+        # At the parent the int64 prefix products wrapped to 0 and the box
+        # [2, 2] raised "underflow"; its answer is 3.
+        with pytest.raises(ValueError, match="float cube"):
+            TABLES[name](make_cube([3], [2**40, 2**40, 3]), PRODUCT)
+        structure = TABLES[name](make_cube([3], [2.0**40, 2.0**40, 3.0]), PRODUCT)
+        assert read(structure, QueryBox([2], [2])) == 3.0
+        assert read(structure, QueryBox([0], [1])) == 2.0**80
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_float_overflow_named(self, name):
+        structure = TABLES[name](make_cube([3], [1e200, 1e200, 5.0]), PRODUCT)
+        assert read(structure, QueryBox([0], [0])) == 1e200
+        with pytest.raises(ValueError, match="float overflow"):
+            read(structure, QueryBox([2], [2]))
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize(
+        "dims, values, message",
+        [
+            ([2], [math.inf, 1.0], r"cell \(0,\) holds inf"),
+            ([4], [1.0, math.nan, 0.5, 2.0], r"cell \(1,\) holds nan"),
+            ([2, 2], np.array([[1.0, 2.0], [-np.inf, np.nan]]), r"cell \(1, 0\) holds -inf"),
+            ([2], np.array([np.float32(1), np.float32(np.inf)]), r"cell \(1,\) holds inf"),
+        ],
+    )
+    def test_cells_rejected(self, dims, values, message):
+        # The parent answered nan for a sum over [inf, 1.0] and for a
+        # SparseTable min over [1.0, nan, 0.5, 2.0] (brute force: 0.5).
+        with pytest.raises(ValueError, match=message):
+            make_cube(dims, values)
+
+    @pytest.mark.parametrize("name", ["fenwick", "hybrid"])
+    def test_float_updates_rejected(self, name):
+        # At the parent a Fenwick update by inf made the sums inf and nan.
+        structure = TABLES[name](make_cube([2], [1.0, 2.0]), SUM)
+        for delta in (math.inf, -math.inf, math.nan, 10**400):
+            with pytest.raises(ValueError, match="is not a finite float"):
+                structure.update([0], delta)
+        structure.update([0], 1e308)
+        before = structure.table.copy()
+        with pytest.raises(ValueError, match=r"set cell \(0,\) to inf, which is not finite"):
+            structure.update([0], 1e308)
+        with pytest.raises(ValueError, match="not a finite float"):
+            structure.set_value([1], math.nan)
+        assert (structure.table == before).all()
+        assert read(structure, QueryBox([0], [1])) == 1e308 + 1.0 + 2.0
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_float_sum_overflow_named(self, name):
+        # At the parent the box [2, 2] answered nan (inf - inf).
+        structure = TABLES[name](make_cube([3], [1e308, 1e308, 1.0]), SUM)
+        assert read(structure, QueryBox([0], [0])) == 1e308
+        with pytest.raises(ValueError, match="float overflow"):
+            read(structure, QueryBox([2], [2]))
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_answer_overflow_named(self, name):
+        # Every prefix is finite; the box [1, 2] sums to 2e308.
+        structure = TABLES[name](make_cube([3], [-1e308, 1e308, 1e308]), SUM)
+        assert read(structure, QueryBox([0], [1])) == 0.0
+        with pytest.raises(ValueError, match="float overflow"):
+            read(structure, QueryBox([1], [2]))
+
+    @pytest.mark.parametrize("name", ["fenwick", "hybrid"])
+    def test_prefix_query_overflow_named(self, name):
+        structure = TABLES[name](make_cube([3], [1e308, 1e308, 1.0]), SUM)
+        assert structure.prefix_query([0]) == 1e308
+        with pytest.raises(ValueError, match="float overflow"):
+            structure.prefix_query([2])
+
+    def test_batched_reads_named(self):
+        pc = PrefixCube(make_cube([3], [1e308, 1e308, 1.0]), SUM)
+        assert pc.range_aggregate_many([[0]], [[0]]).tolist() == [1e308]
+        with pytest.raises(ValueError, match="float overflow"):
+            pc.range_aggregate_many([[0], [2]], [[0], [2]])
+        pc = PrefixCube(make_cube([3], [-1e308, 1e308, 1e308]), SUM)
+        with pytest.raises(ValueError, match="float overflow"):
+            pc.range_aggregate_many([[1]], [[2]])
+
+
+class TestMedianDomain:
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            CubeMedianIndex(make_cube([3], [1.0, math.nan, 1.0]), [[0, 1, 2]])
+
+    @pytest.mark.parametrize(
+        "scale, shown",
+        [([0, math.nan, 2], "nan"), ([0, 1, math.inf], "inf"), ([-math.inf, 0, 1], "-inf")],
+    )
+    def test_non_finite_scale_rejected(self, scale, shown):
+        # A NaN scale passed the sortedness test: [[0, nan, 2]] answered (nan,).
+        with pytest.raises(ValueError, match=f"scale list 0 holds {shown}; scales must be finite"):
+            CubeMedianIndex(make_cube([3], [1, 1, 1]), [scale])
+
+    def test_float_table_overflow_named(self):
+        idx = CubeMedianIndex(make_cube([2], [1e308, 1e308]), [[0, 1]])
+        with pytest.raises(ValueError, match="float overflow"):
+            cube_range_weighted_median(idx, QueryBox([0], [1]))
+        assert cube_range_weighted_median(idx, QueryBox([0], [0])).cost == 0.0
+
+
+# -- edge values against the brute-force scan ---------------------------------
+
+
+def int_edges(cells: int) -> list:
+    return [0, 1, -1, 2**62 // cells, -(2**62 // cells), 2**62, -(2**62), -(2**63), 2**63 - 1]
+
+
+FINITE_FLOAT_EDGES = [-0.0, 5e-324, 1e308, -1e308, 1e-200]
+FLOAT_EDGES = FINITE_FLOAT_EDGES + [math.nan, math.inf, -math.inf]
+
+#: Words that name the cause of each rejection this test may meet.
+CAUSES = (
+    "overflow", "underflow", "finite", "float cube", "integer cube", "zero",
+    "does not fit", "nonnegative", "no positive weight",
+)
+
+
+def named(exc: ValueError) -> bool:
+    return any(cause in str(exc) for cause in CAUSES)
+
+
+def outcome(call):
+    """``call()``, or the ValueError it raised (which must name its cause)."""
+    try:
+        return call()
+    except ValueError as exc:
+        assert named(exc), exc
+        return exc
+
+
+@st.composite
+def edge_cases(draw):
+    d = draw(st.integers(1, 3))
+    dims = draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
+    cells = math.prod(dims)
+    kind = draw(st.sampled_from(["int", "float"]))
+    # Half the cubes draw only values every structure accepts.
+    pool = int_edges(cells) if kind == "int" else FLOAT_EDGES
+    accepted = pool[:5] if kind == "int" else FINITE_FLOAT_EDGES
+    chosen = draw(st.sampled_from([accepted, pool]))
+    values = draw(st.lists(st.sampled_from(chosen), min_size=cells, max_size=cells))
+    boxes = []
+    for _ in range(draw(st.integers(1, 6))):
+        lo = [draw(st.integers(0, m - 1)) for m in dims]
+        boxes.append(QueryBox(lo, [draw(st.integers(a, m - 1)) for a, m in zip(lo, dims)]))
+    updates = draw(
+        st.lists(
+            st.tuples(st.tuples(*(st.integers(0, m - 1) for m in dims)), st.sampled_from(pool)),
+            max_size=6,
+        )
+    )
+    return dims, kind, values, boxes, updates
+
+
+def exact_fold(cube, box, op):
+    """The box aggregate in exact rationals (floats) or Python ints."""
+    cells = [Fraction(cube.values[c].item()) for c in box.coords()]
+    return sum(cells) if op is SUM else math.prod(cells)
+
+
+def agrees(got, cube, box, op) -> bool:
+    """``got`` equals the scan: exactly for int cubes, within the rounding
+    bound for floats.
+
+    Float answers are held against the exact rational fold: the scan's own
+    float fold can overflow where the answer fits (cells -1e308, 1e308,
+    1e308, -1e308 over [1, 3] scan to inf; the answer is 1e308).
+    """
+    if cube.kind == "int":
+        return got == brute_force_range(cube, box, op)
+    exact = exact_fold(cube, box, op)
+    if abs(exact) > FLOAT_MAX:
+        return False  # the answer does not fit a float: it must raise
+    if op is SUM:
+        scale = sum(abs(Fraction(v)) for v in cube.values.reshape(-1).tolist())
+        tol = float(min(Fraction(FLOAT_MAX), 2 ** (cube.ndim + 2) * cube.size * EPS * scale))
+        return math.isclose(got, float(exact), rel_tol=1e-9, abs_tol=tol)
+    return math.isclose(got, float(exact), rel_tol=1e-9, abs_tol=1e-300)
+
+
+def check_reads(structure, cube, boxes, op):
+    answers = [outcome(lambda b=b: read(structure, b)) for b in boxes]
+    for box, got in zip(boxes, answers):
+        if not isinstance(got, ValueError):
+            assert agrees(got, cube, box, op), (box, got)
+    return answers
+
+
+@settings(max_examples=250, deadline=None)
+@given(edge_cases())
+def test_edge_values_raise_or_match_brute_force(case):
+    dims, kind, values, boxes, updates = case
+    cube = outcome(lambda: make_cube(dims, values, kind=kind))
+    if isinstance(cube, ValueError):
+        assert kind == "float" and "finite" in str(cube)
+        return
+    lo = np.array([b.lo for b in boxes])
+    hi = np.array([b.hi for b in boxes])
+    for op in (SUM, XOR, PRODUCT):
+        pc = outcome(lambda: PrefixCube(cube, op))
+        if isinstance(pc, ValueError):
+            continue
+        scalar = check_reads(pc, cube, boxes, op)
+        batch = outcome(lambda: pc.range_aggregate_many(lo, hi))
+        if isinstance(batch, ValueError):
+            assert any(isinstance(a, ValueError) for a in scalar)
+        else:
+            assert list(map(repr, batch.tolist())) == list(map(repr, scalar))
+    for name in ("fenwick", "hybrid"):
+        for op in (SUM, XOR, PRODUCT):
+            structure = outcome(lambda: TABLES[name](cube, op))
+            if isinstance(structure, ValueError):
+                continue
+            twin = make_cube(dims, cube.values)
+            for coords, delta in updates:
+                if isinstance(outcome(lambda: structure.update(coords, delta)), ValueError):
+                    assert structure.point_read(coords) == twin.cell(coords)
+                else:
+                    twin.values[coords] = op.combine(twin.cell(coords), delta)
+            assert (structure.shadow == twin.values).all()
+            check_reads(structure, twin, boxes, op)
+    for mode, op in (("min", MIN), ("max", MAX)):
+        table = SparseTable(cube, mode=mode)
+        for box, got in zip(boxes, table.query_many(lo, hi).tolist()):
+            assert got == table.query(box) == brute_force_range(cube, box, op)
+    check_median(cube, boxes)
+
+
+def check_median(cube, boxes):
+    scales = [list(range(-1, 2 * m - 1, 2)) for m in cube.dims]
+    idx = outcome(lambda: CubeMedianIndex(cube, scales))
+    if isinstance(idx, ValueError):
+        return
+    for box in boxes:
+        res = outcome(lambda: cube_range_weighted_median(idx, box))
+        if isinstance(res, ValueError):
+            continue
+        costs = [
+            sum(
+                Fraction(cube.cell(c)) * sum(abs(s[c[j]] - s[r[j]]) for j, s in enumerate(scales))
+                for c in box.coords()
+            )
+            for r in box.coords()
+        ]
+        best = min(costs)
+        if cube.kind == "int":
+            assert res.cost == best
+        else:
+            weight = sum(Fraction(cube.cell(c)) for c in box.coords())
+            tol = float(min(Fraction(FLOAT_MAX), 64 * cube.size * EPS * weight * 2 * max(cube.dims)))
+            assert math.isclose(res.cost, float(best), rel_tol=1e-9, abs_tol=tol), (box, res)

@@ -63,9 +63,9 @@ class TestBuild:
     def test_constant_cube(self):
         table = SparseTable(make_cube([4, 4], [7] * 16))
         for kt, arr in table.tables.items():
-            ext = table._valid_extents(kt)
-            assert arr.shape == ext
-            assert (arr[tuple(slice(0, e) for e in ext)] == 7).all()
+            # level kt keeps only the anchors whose block fits the cube
+            assert arr.shape == tuple(m - (1 << k) + 1 for m, k in zip(table.dims, kt))
+            assert (arr == 7).all()
 
     def test_2d_full_block(self):
         table = SparseTable(make_cube([2, 2], [1, 5, 3, 2]))
@@ -119,8 +119,7 @@ class TestQuery:
         cube = make_cube([8, 6], [((i * 37) ^ (j * 11)) % 50 for i in range(8) for j in range(6)])
         table = SparseTable(cube)
         for kt, arr in table.tables.items():
-            ext = table._valid_extents(kt)
-            for anchor in ((0,) * cube.ndim, tuple(e - 1 for e in ext)):
+            for anchor in ((0,) * cube.ndim, tuple(e - 1 for e in arr.shape)):
                 box = QueryBox(
                     anchor,
                     [a + table._block_len(j, kt) - 1 for j, a in enumerate(anchor)],
@@ -279,9 +278,11 @@ class TestQueryMany:
             table.query_many([[0, 0], [0, 0]], [[0, 1], [1, 1]])
 
     def test_nan_and_negative_zero_follow_scalar(self):
-        # Row 1 puts NaN in the second block of some boxes, where min/max keep
-        # the first block's value.
-        cube = make_cube([2, 4], [math.nan, -0.0, 0.0, 1.0, 0.0, 2.0, math.nan, -0.0])
+        # NaN cells are rejected by the cube; -0.0 and 0.0 tie under min/max,
+        # so the block picked first decides the sign, as in the scalar query.
+        with pytest.raises(ValueError, match="finite"):
+            make_cube([2, 4], [math.nan, -0.0, 0.0, 1.0, 0.0, 2.0, math.nan, -0.0])
+        cube = make_cube([2, 4], [-0.0, -0.0, 0.0, 1.0, 0.0, 2.0, 0.0, -0.0])
         boxes = [
             QueryBox([a0, a1], [b0, b1])
             for a0 in range(2) for b0 in range(a0, 2) for a1 in range(4) for b1 in range(a1, 4)
