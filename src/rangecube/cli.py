@@ -465,7 +465,10 @@ def _selection(s, agg, k, q, eps, oracle):
             expected = sum(chunk) if agg == "sum" else (
                 math.prod(chunk) if agg == "product" else max(chunk)
             )
-    return _Answer((value,), value, None, expected, 0.0 if s.arrays.is_integer else 1e-9)
+    # A real search stops within eps of the k-th smallest weight; max's
+    # aggregate is that weight.
+    tol = 0.0 if s.arrays.is_integer else (eps if agg in (None, "max") else 1e-9)
+    return _Answer((value,), value, None, expected, tol)
 
 
 # -- the structure table and the script loop ---------------------------------

@@ -33,6 +33,7 @@ import numpy as np
 
 from .cube import (
     SUM,
+    _FLOAT_MAX,
     DataCube,
     QueryBox,
     _check_sum_bound,
@@ -470,10 +471,10 @@ class CubeMedianIndex:
     RangeSum probe each in :attr:`rangesum_probes_last_query`.
 
     Int weights with int scales are summed exactly in int64; the build
-    rejects them with a ``ValueError`` once peak weight * cell count *
-    peak |scale| reaches ``2**62``, so no table can wrap.  Scales must be
-    finite; a float table whose sum overflowed is reported when a query
-    reads it.
+    rejects them with a ``ValueError`` once max(peak weight, 1) * cell
+    count * peak |scale| reaches ``2**62``, so no table can wrap.  Scales
+    must be finite floats (an int past the float range is rejected too); a
+    float table whose sum overflowed is reported when a query reads it.
     """
 
     def __init__(self, cube: DataCube, scales: Sequence[Sequence]):
@@ -487,10 +488,12 @@ class CubeMedianIndex:
                 raise ValueError(
                     f"scale list {j} has {len(scale)} entries for extent {m}"
                 )
-            # NaN would pass the sortedness test below; a huge int is finite.
-            bad = [x for x in scale if not -math.inf < x < math.inf]
+            # NaN would pass the sortedness test below, and an int past the
+            # float range would overflow the float tables' conversion.
+            bad = [x for x in scale if not abs(x) <= _FLOAT_MAX]
             if bad:
-                raise ValueError(f"scale list {j} holds {bad[0]}; scales must be finite")
+                shown = "an int past the float range" if isinstance(bad[0], int) else bad[0]
+                raise ValueError(f"scale list {j} holds {shown}; scales must be finite")
             if any(a > b for a, b in zip(scale, scale[1:])):
                 raise ValueError(f"scale list {j} is not sorted ascending")
         self.cube = cube
@@ -501,10 +504,11 @@ class CubeMedianIndex:
         )
         if exact:
             # Python ints, so a scale past int64 is measured, not converted;
-            # each list is sorted, so its peak |scale| sits at an end.
+            # each list is sorted, so its peak |scale| sits at an end.  An
+            # all-zero cube still converts its scales to int64.
             peak_scale = max(abs(int(x)) for scale in scales for x in (scale[0], scale[-1]))
             _check_sum_bound(
-                int(cube.values.max()) * max(peak_scale, 1),
+                max(int(cube.values.max()), 1) * max(peak_scale, 1),
                 cube.size,
                 "overflow risk: peak weight * cell count * peak |scale| must stay "
                 "below 2**62 for int medians",

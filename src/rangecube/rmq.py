@@ -8,7 +8,13 @@ group (``stretch == 1`` on base dimensions).  Singleton groups with stretch 1
 recover the unconstrained d-dimensional RMQ.
 
 The table ``m[c, k]`` stores the min (or max) over the box anchored at ``c``
-whose side in dimension ``j`` is ``stretch[j] * 2**k[group(j)]``; level ``k``
+whose side in dimension ``j`` is ``stretch[j] * 2**k[group(j)]``, as a rank
+among the cube's sorted distinct values (rank-space reduction, Gabow, Bentley
+& Tarjan, STOC 1984): min and max only compare, so ranks pick the same cell
+as values.  Ranks take the narrowest unsigned dtype that holds them, 1 byte
+per entry up to 256 distinct values, 2 up to 65536 and 4 beyond, against 8
+for int64 or float64 values; an answer maps back through one gather into the
+distinct values.  Level ``k``
 holds only the anchors whose block fits the cube (``extent[j] - side[j] + 1``
 of them in dimension ``j``).  Levels are filled in increasing lexicographic
 order of the k-tuples; each step halves a single group (two shifted child
@@ -90,7 +96,8 @@ class SparseTable:
     """Precomputed min/max tables for shape-constrained box queries.
 
     Immutable after construction; queries cost at most ``2**d`` table lookups
-    (tracked in :attr:`lookups_last_query`).
+    (tracked in :attr:`lookups_last_query`).  ``distinct`` holds the cube's
+    sorted distinct values and every level of ``tables`` the ranks into it.
     """
 
     def __init__(
@@ -127,8 +134,10 @@ class SparseTable:
         #: log2floor[x] = floor(log2(x)) for 1 <= x <= max extent (index 0 unused).
         self.log2floor = (0,) + tuple(x.bit_length() - 1 for x in range(1, max(cube.dims) + 1))
         self.lookups_last_query = 0
+        self.distinct, inverse = np.unique(cube.values, return_inverse=True)
+        ranks = inverse.reshape(cube.dims).astype(np.min_scalar_type(len(self.distinct) - 1))
         self.tables = {}
-        self._build()
+        self._build(ranks)
 
     # -- construction ------------------------------------------------------
 
@@ -151,10 +160,10 @@ class SparseTable:
             acc = view.copy() if acc is None else self._ufunc(acc, view)
         return acc
 
-    def _build(self):
+    def _build(self, ranks: np.ndarray):
         g = self.grouping
         zero = (0,) * g.ngroups
-        self.tables[zero] = self._base_level()
+        self.tables[zero] = self._base_level(ranks)
         for kt in itertools.product(*(range(km + 1) for km in self.kmax)):
             if kt == zero:
                 continue
@@ -165,23 +174,22 @@ class SparseTable:
                 {j: self._block_len(j, child_kt) for j in g.members(h)},
             )
 
-    def _base_level(self) -> np.ndarray:
-        """Level 0: min/max over the anchored box of side stretch[j].
+    def _base_level(self, ranks: np.ndarray) -> np.ndarray:
+        """Level 0: min/max rank over the anchored box of side stretch[j].
 
         The box is separable, so each axis takes its own sliding-window fold:
         the window doubles up to the largest power of two within
         ``stretch[j]``, and one more fold of two overlapping windows closes
         the rest, O(d log max(stretch)) numpy calls in all.
         """
-        values = self.cube.values
-        acc = values
+        acc = ranks
         for j, f in enumerate(self.grouping.stretch):
             width = 1
             while width < f:
                 step = min(width, f - width)
                 acc = self._fold(acc, {j: step})
                 width += step
-        return acc.copy() if acc is values else acc
+        return acc
 
     # -- queries -----------------------------------------------------------
 
@@ -199,7 +207,12 @@ class SparseTable:
         return lengths
 
     def query(self, box: QueryBox):
-        """Min/max over a shape-constrained box from ``2**d`` block lookups."""
+        """Min/max over a shape-constrained box from ``2**d`` block lookups.
+
+        Equal values share one rank, and ``np.unique`` merges -0.0 with 0.0,
+        so a zero answer carries the sign of the zero ``distinct`` kept, not
+        that of the block picked first.
+        """
         box.validate_for(self.dims)
         lengths = self._check_shape(box)
         g = self.grouping
@@ -212,21 +225,21 @@ class SparseTable:
             anchor = tuple(
                 lo + sj * (ln - bl) for lo, sj, ln, bl in zip(box.lo, s, lengths, block)
             )
-            value = table[anchor].item()
+            rank = table.item(anchor)
             self.lookups_last_query += 1
-            best = value if best is None else self._pick(best, value)
-        return best
+            best = rank if best is None else self._pick(best, rank)
+        return self.distinct.item(best)
 
     def query_many(self, lo, hi) -> np.ndarray:
         """Answers for the shape-constrained boxes ``[lo[i], hi[i]]`` of two
         N x d integer arrays.
 
         Boxes are grouped by level tuple; each group takes ``2**d`` gathers
-        from its level's table.  Answer ``i`` equals
-        ``query(QueryBox(lo[i], hi[i]))`` after ``.tolist()``: blocks are
-        picked in the same order with the same ``min``/``max`` rule, so -0.0
-        cells give the same answer.  Afterwards
-        :attr:`lookups_last_query` holds the per-box count.
+        of ranks from its level's table, and one gather into ``distinct``
+        maps every rank back, so the answers keep the cube's dtype.  Answer
+        ``i`` equals ``query(QueryBox(lo[i], hi[i]))`` after ``.tolist()``,
+        the sign of zero included.  Afterwards :attr:`lookups_last_query`
+        holds the per-box count.
         """
         lo, hi = _check_boxes(lo, hi, self.dims)
         g = self.grouping
@@ -243,8 +256,7 @@ class SparseTable:
         levels = np.array(self.log2floor)[base_lengths]
         key = np.ravel_multi_index(tuple(levels.T), [km + 1 for km in self.kmax])
         order = np.argsort(key, kind="stable")
-        beats = np.less if self.mode == "min" else np.greater
-        answers = np.empty(len(lo), dtype=self.cube.values.dtype)
+        ranks = np.empty(len(lo), dtype=self.tables[(0,) * g.ngroups].dtype)
         for rows in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
             if not rows.size:
                 continue
@@ -254,12 +266,11 @@ class SparseTable:
             far = near + lengths[rows] - [self._block_len(j, kt) for j in range(g.ndim)]
             best = None
             for s in itertools.product((0, 1), repeat=g.ndim):
-                value = table[tuple((far if sj else near)[:, j] for j, sj in enumerate(s))]
-                # min(best, value) keeps best unless value beats it
-                best = value if best is None else np.where(beats(value, best), value, best)
-            answers[rows] = best
+                rank = table[tuple((far if sj else near)[:, j] for j, sj in enumerate(s))]
+                best = rank if best is None else self._ufunc(best, rank)
+            ranks[rows] = best
         self.lookups_last_query = 1 << g.ndim if len(lo) else 0
-        return answers
+        return self.distinct[ranks]
 
     def block_value(self, anchor: Sequence[int], kt: Sequence[int]):
         """Table entry: the aggregate of the block anchored at ``anchor``."""
@@ -272,7 +283,7 @@ class SparseTable:
         for j, (a, m) in enumerate(zip(anchor, self.dims)):
             if not 0 <= a <= m - self._block_len(j, kt):
                 raise IndexError(f"anchor {a} out of range for level {kt} in dimension {j}")
-        return self.tables[kt][anchor].item()
+        return self.distinct.item(self.tables[kt].item(anchor))
 
 
 def grouped_base_case(

@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -159,11 +159,23 @@ class SelectionSplit:
     ``left`` holds all n^q operator-combinations sorted ascending; ``prefix``
     has ``prefix[j]`` = aggregate of the j smallest (``prefix[0]`` is the
     identity).  ``s_l`` and ``ps_l`` give the same values as tuples.
+    ``prefix`` is built on first use: only aggregates read it, and an int
+    product split holds it as Python ints.
     """
 
     q: int
     left: np.ndarray
-    prefix: np.ndarray
+    arrays: SortedWeightArrays = field(repr=False)
+
+    @functools.cached_property
+    def prefix(self) -> np.ndarray:
+        op, acc = self.arrays.op, self.left
+        if self.arrays.is_integer and (op == "product" or acc.size * int(acc[-1]) > _INT64_MAX):
+            acc = acc.astype(object)  # exact Python-int prefix aggregates
+        # max never needs prefix aggregates; it keeps running maxima anyway
+        first = acc[:1] if op == "max" else _identity(op, acc.dtype)
+        with np.errstate(over="ignore"):
+            return _UFUNCS[op].accumulate(np.concatenate((first, acc)))
 
     @property
     def s_l(self) -> tuple:
@@ -176,16 +188,8 @@ class SelectionSplit:
 
 def _split(arrays: SortedWeightArrays, q: int) -> SelectionSplit:
     """The split for any ``1 <= q <= d``, by broadcast plus sort."""
-    op = arrays.op
-    left = np.sort(_combos(op, arrays._values[:q], 0, arrays.n**q))
-    acc = left
-    if arrays.is_integer and (op == "product" or left.size * int(left[-1]) > _INT64_MAX):
-        acc = left.astype(object)  # exact Python-int prefix aggregates
-    # max never needs prefix aggregates; it keeps running maxima anyway
-    first = acc[:1] if op == "max" else _identity(op, acc.dtype)
-    with np.errstate(over="ignore"):
-        prefix = _UFUNCS[op].accumulate(np.concatenate((first, acc)))
-    return SelectionSplit(q, left, prefix)
+    left = np.sort(_combos(arrays.op, arrays._values[:q], 0, arrays.n**q))
+    return SelectionSplit(q, left, arrays)
 
 
 def build_split(arrays: SortedWeightArrays, q: int) -> SelectionSplit:

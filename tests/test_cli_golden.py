@@ -79,6 +79,7 @@ CASES = [
     ("select-sum", "select", "arrays", "select 2\nselect 2 1\nagg-select 3\nagg-select 4 1\n", True),
     ("select-max", "select:op=max", "arrays", "select 3\nagg-select 2\n", True),
     ("select-product-float", "select:op=product", "float_arrays", "select 1\nagg-select 2 0\n", False),
+    ("select-product-float-oracle", "select:op=product", "float_arrays", "select 1\nselect 3\nagg-select 2 0\n", True),
     # numeric-domain repros
     ("overflow-load-bound", "prefix:op=sum", "big_sum", "prefix 3\n", False),
     ("overflow-int64-min", "prefix:op=sum", "int64_min", "prefix 1\n", False),

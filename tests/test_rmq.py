@@ -23,11 +23,12 @@ def random_cube(rng, d=None, max_extent=8):
 
 
 def assert_matches_brute_force(cube, grouping):
-    """In both modes: level 0 equals a direct reduce over each anchored
-    stretch box, and every constrained box equals the brute-force scan."""
+    """In both modes: level 0, decoded through ``distinct``, equals a direct
+    reduce over each anchored stretch box, and every constrained box equals
+    the brute-force scan."""
     for mode, op in (("min", MIN), ("max", MAX)):
         table = SparseTable(cube, grouping, mode)
-        level0 = table.tables[(0,) * grouping.ngroups]
+        level0 = table.distinct[table.tables[(0,) * grouping.ngroups]]
         expected = [grouped_base_case(cube, grouping, a, mode) for a in np.ndindex(level0.shape)]
         assert np.array_equal(level0, np.array(expected).reshape(level0.shape))
         for box in constrained_boxes(cube.dims, grouping):
@@ -65,7 +66,7 @@ class TestBuild:
         for kt, arr in table.tables.items():
             # level kt keeps only the anchors whose block fits the cube
             assert arr.shape == tuple(m - (1 << k) + 1 for m, k in zip(table.dims, kt))
-            assert (arr == 7).all()
+            assert (table.distinct[arr] == 7).all()
 
     def test_2d_full_block(self):
         table = SparseTable(make_cube([2, 2], [1, 5, 3, 2]))
@@ -278,8 +279,8 @@ class TestQueryMany:
             table.query_many([[0, 0], [0, 0]], [[0, 1], [1, 1]])
 
     def test_nan_and_negative_zero_follow_scalar(self):
-        # NaN cells are rejected by the cube; -0.0 and 0.0 tie under min/max,
-        # so the block picked first decides the sign, as in the scalar query.
+        # NaN cells are rejected by the cube; -0.0 and 0.0 share one rank, so
+        # the batched and the scalar query map it back to the same zero.
         with pytest.raises(ValueError, match="finite"):
             make_cube([2, 4], [math.nan, -0.0, 0.0, 1.0, 0.0, 2.0, math.nan, -0.0])
         cube = make_cube([2, 4], [-0.0, -0.0, 0.0, 1.0, 0.0, 2.0, 0.0, -0.0])
@@ -305,3 +306,47 @@ class TestQueryMany:
         table = SparseTable(make_cube([2, 3], [5, 1, 4, 2, 6, 3]))
         with pytest.raises(error):
             table.query_many(lo, hi)
+
+
+class TestRankSpace:
+    """Levels hold ranks into ``distinct``; answers map back to the cube's values."""
+
+    @pytest.mark.parametrize("count, dtype", [(256, np.uint8), (257, np.uint16), (65537, np.uint32)])
+    def test_levels_take_the_narrowest_rank_dtype(self, count, dtype):
+        table = SparseTable(make_cube([count], range(count - 1, -1, -1)), mode="max")
+        assert len(table.distinct) == count
+        assert {arr.dtype for arr in table.tables.values()} == {np.dtype(dtype)}
+        assert table.query(QueryBox([1], [count - 1])) == count - 2
+
+    @pytest.mark.parametrize(
+        "dims, values",
+        [
+            ([3, 4], [-(2**63), 2**63 - 1, 0, -1, 2**63 - 2, 5, -(2**63) + 1, 7, 2**63 - 1, 3, -(2**63), 4]),
+            ([6, 7], [(-1) ** i * (1 + i / 64) * 10.0 ** (7 * i - 150) for i in range(42)]),
+        ],
+        ids=["int64-edges", "distinct-floats"],
+    )
+    def test_exact_answers_in_the_cube_dtype(self, dims, values):
+        cube = make_cube(dims, values)
+        boxes = list(constrained_boxes(dims, DimensionGrouping.singleton(len(dims))))
+        for mode, op in (("min", MIN), ("max", MAX)):
+            table = SparseTable(cube, mode=mode)
+            got = table.query_many(*box_arrays(boxes))
+            assert got.dtype == cube.values.dtype
+            assert got.tolist() == [table.query(b) for b in boxes]
+            assert got.tolist() == [brute_force_range(cube, b, op) for b in boxes]
+        if cube.kind == "float":
+            assert len(table.distinct) == cube.size
+
+    def test_zero_answers_take_the_sign_of_the_kept_zero(self):
+        # np.unique merges -0.0 and 0.0 into one distinct value, so every zero
+        # answer carries its sign, even over a box of -0.0 cells only.
+        cube = make_cube([2, 4], [-0.0, -0.0, 0.0, 1.0, 0.0, 2.0, 0.0, -0.0])
+        boxes = list(constrained_boxes(cube.dims, DimensionGrouping.singleton(2)))
+        for mode in ("min", "max"):
+            table = SparseTable(cube, mode=mode)
+            assert table.distinct.tolist() == [0.0, 1.0, 2.0]
+            kept = repr(table.distinct[0].item())
+            answers = table.query_many(*box_arrays(boxes)).tolist()
+            answers += [table.query(b) for b in boxes] + [table.block_value((0, 0), (0, 1))]
+            assert [repr(a) for a in answers if a == 0] == [kept] * sum(a == 0 for a in answers)

@@ -113,6 +113,18 @@ class TestBuildSplit:
         arrays = SortedWeightArrays([[1, 2]] * 3, "sum")
         assert len(build_split(arrays, 2).s_l) == 4
 
+    def test_prefix_built_only_for_aggregates(self):
+        # An int product prefix holds Python ints: 0.3 s at n^q = 14400.
+        arrays = SortedWeightArrays([[1, 2, 5], [1, 3, 4], [2, 7, 9]], "product")
+        split = build_split(arrays, 2)
+        assert kth_smallest(arrays, 14, split=split) == all_weights(arrays)[13]
+        assert "prefix" not in vars(split)
+        assert split.ps_l == (1, 1, 2, 6, 24, 120, 720, 5760, 86400, 1728000)
+        assert split.prefix.dtype == object
+        assert aggregate_k_smallest(arrays, "product", 5, split=split) == math.prod(
+            all_weights(arrays)[:5]
+        )
+
     def test_invalid_q(self):
         arrays = SortedWeightArrays([[1, 2], [1, 2]], "sum")
         with pytest.raises(ValueError, match="split size"):
