@@ -157,7 +157,8 @@ class _Answer(NamedTuple):
     got: object  # the value the oracle checks
     counter: object  # recorded under the verb's counter key (None: nothing)
     expected: object = None  # the brute-force value, computed only under --oracle
-    tol: float = 0.0
+    rel_tol: float = 0.0  # float answers: math.isclose tolerances (both 0: exact)
+    abs_tol: float = 0.0
 
 
 def _line(answer: _Answer) -> str:
@@ -181,9 +182,9 @@ class _Stats:
             yield f"# counters {body}"
 
 
-def _oracle_check(cmd: ScriptCommand, got, expected, tol: float = 0.0):
-    if isinstance(got, float) or isinstance(expected, float):
-        ok = math.isclose(got, expected, rel_tol=tol, abs_tol=tol) if tol else got == expected
+def _oracle_check(cmd: ScriptCommand, got, expected, rel_tol=0.0, abs_tol=0.0):
+    if (isinstance(got, float) or isinstance(expected, float)) and (rel_tol or abs_tol):
+        ok = math.isclose(got, expected, rel_tol=rel_tol, abs_tol=abs_tol)
     else:
         ok = got == expected
     if not ok:
@@ -430,7 +431,7 @@ def _kmedian(pts: WeightedPoints1D, cmd, oracle):
     res = interval_k_median(pts, count, length)
     expected = float(interval_k_median_naive(pts, count, length)) if oracle else None
     printed = (res.cost, *(x for interval in res.intervals for x in interval))
-    return _Answer(printed, float(res.cost), res.deque_pushes, expected, 1e-9)
+    return _Answer(printed, float(res.cost), res.deque_pushes, expected, 1e-9, 1e-9)
 
 
 def _select(s, cmd, oracle):
@@ -465,10 +466,16 @@ def _selection(s, agg, k, q, eps, oracle):
             expected = sum(chunk) if agg == "sum" else (
                 math.prod(chunk) if agg == "product" else max(chunk)
             )
-    # A real search stops within eps of the k-th smallest weight; max's
-    # aggregate is that weight.
-    tol = 0.0 if s.arrays.is_integer else (eps if agg in (None, "max") else 1e-9)
-    return _Answer((value,), value, None, expected, tol)
+    if s.arrays.is_integer:
+        return _Answer((value,), value, None, expected)
+    if agg in (None, "max"):
+        # A real search stops within eps of the k-th smallest weight, or on
+        # adjacent floats where eps is below their spacing (the counting
+        # kernel's threshold arithmetic rounds there, hence a few ulps);
+        # max's aggregate is that weight.
+        abs_tol = max(eps, 4 * math.ulp(expected)) if oracle else 0.0
+        return _Answer((value,), value, None, expected, 0.0, abs_tol)
+    return _Answer((value,), value, None, expected, 1e-9, 1e-9)
 
 
 # -- the structure table and the script loop ---------------------------------
@@ -557,7 +564,7 @@ def run_script(data_path, struct_spec: str, script_path, oracle: bool = False, o
                 continue
             stats.queries += 1
             if oracle:
-                _oracle_check(cmd, answer.got, answer.expected, answer.tol)
+                _oracle_check(cmd, answer.got, answer.expected, answer.rel_tol, answer.abs_tol)
             out.append(_line(answer))
     out.extend(stats.lines())
     return out

@@ -34,6 +34,8 @@ import numpy as np
 from .cube import (
     SUM,
     _FLOAT_MAX,
+    _INT64_MAX,
+    _INT64_MIN,
     DataCube,
     QueryBox,
     _check_sum_bound,
@@ -471,10 +473,11 @@ class CubeMedianIndex:
     RangeSum probe each in :attr:`rangesum_probes_last_query`.
 
     Int weights with int scales are summed exactly in int64; the build
-    rejects them with a ``ValueError`` once max(peak weight, 1) * cell
-    count * peak |scale| reaches ``2**62``, so no table can wrap.  Scales
-    must be finite floats (an int past the float range is rejected too); a
-    float table whose sum overflowed is reported when a query reads it.
+    rejects them with a ``ValueError`` once peak weight * cell count * peak
+    |scale| reaches ``2**62``, so no table can wrap, or once a scale leaves
+    int64.  Scales must be finite floats (an int past the float range is
+    rejected too); a float table whose sum overflowed is reported when a
+    query reads it.
     """
 
     def __init__(self, cube: DataCube, scales: Sequence[Sequence]):
@@ -504,15 +507,19 @@ class CubeMedianIndex:
         )
         if exact:
             # Python ints, so a scale past int64 is measured, not converted;
-            # each list is sorted, so its peak |scale| sits at an end.  An
-            # all-zero cube still converts its scales to int64.
+            # each list is sorted, so its peak |scale| sits at an end.
             peak_scale = max(abs(int(x)) for scale in scales for x in (scale[0], scale[-1]))
             _check_sum_bound(
-                max(int(cube.values.max()), 1) * max(peak_scale, 1),
+                int(cube.values.max()) * max(peak_scale, 1),
                 cube.size,
                 "overflow risk: peak weight * cell count * peak |scale| must stay "
                 "below 2**62 for int medians",
             )
+            # An all-zero cube passes the bound with any scale, but its
+            # scales are still converted to int64.
+            for j, scale in enumerate(scales):
+                if not _INT64_MIN <= scale[0] <= scale[-1] <= _INT64_MAX:
+                    raise ValueError(f"scale list {j} holds an int past int64")
         dtype = np.int64 if exact else np.float64
         values = cube.values.astype(dtype)
         self.ps_cube = _prefix_table(values, SUM)

@@ -236,6 +236,39 @@ class TestOracleCorpus:
         for struct in ("rmq:mode=min", "rmq:mode=max"):
             run_script(cube_path, struct, rmq_script, oracle=True)
 
+    @pytest.mark.parametrize(
+        "op, verb, search",
+        [("sum", "select 3", "kth_smallest"), ("max", "agg-select 3", "aggregate_k_smallest")],
+    )
+    def test_float_kth_oracle_is_absolute_eps(self, files, capsys, monkeypatch, op, verb, search):
+        """A k-th smallest 1000 off a weight near 2e9 fails the oracle, though
+        it lies within eps (1e-6) relative to the weight."""
+        import rangecube.cli as cli
+
+        arrays = files("arr.txt", "1000000000.5 1000000001.5\n1000000000.25 1000000002.0\n")
+        script = files("s.txt", verb + "\n")
+        code, out, err = run(capsys, ["query", f"select:op={op}", arrays, script, "--oracle"])
+        assert (code, err) == (0, "")
+        found = getattr(cli, search)
+        monkeypatch.setattr(cli, search, lambda *a, **kw: found(*a, **kw) + 1000.0)
+        code, out, err = run(capsys, ["query", f"select:op={op}", arrays, script, "--oracle"])
+        assert code == 1
+        assert "oracle mismatch at line 1" in err
+
+    def test_float_kth_oracle_past_eps_spacing(self, files, capsys):
+        """Weights near 1e16 are spaced far wider than eps, and the search's
+        answer to select 10 sits one ulp below the summed weight; it still
+        passes the oracle."""
+        arrays = files(
+            "arr.txt",
+            "400000000000003.0 840000000000002.0 4.600000000000001e+16\n"
+            "1500000000000007.0 3200000000000008.0 1.4000000000000004e+16\n"
+            "2000000000000003.0 5300000000000002.0 9900000000000002.0\n",
+        )
+        script = files("s.txt", "".join(f"select {k}\n" for k in range(1, 28)))
+        code, out, err = run(capsys, ["query", "select:op=sum", arrays, script, "--oracle"])
+        assert (code, err) == (0, "")
+
     def test_identical_outputs_across_structures(self, files):
         rng = random.Random(123)
         values = [rng.randint(-20, 20) for _ in range(16)]
