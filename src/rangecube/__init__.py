@@ -29,6 +29,7 @@ from .cube import (
     SUM,
     XOR,
     brute_force_range,
+    float_sum_error_bound,
     make_cube,
 )
 from .dynamic import FenwickCube, HybridCube

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Four commands:
+Two commands:
 
 * ``query STRUCT DATA SCRIPT [--oracle]`` — run a script of queries/updates
   against one structure.  ``STRUCT`` is ``name`` or ``name:key=val,...``:
@@ -17,9 +17,12 @@ Four commands:
   Scripts hold one command per line (``#`` comments):
   ``prefix b1..bd`` | ``query lo1 hi1 .. lod hid`` | ``update c1..cd delta`` |
   ``rmq lo1 hi1 ..`` | ``median i j`` | ``cube-median lo1 hi1 ..`` |
-  ``kmedian K L`` | ``select k [q]`` | ``agg-select k [q] [eps]``.
+  ``kmedian K L`` | ``select k [q] [eps]`` | ``agg-select k [q] [eps]``.
   With ``--oracle`` every answer is cross-checked against the brute-force
   reference (scan, naive DP or sort-all) and the first mismatch aborts.
+  Int answers must be equal; a float answer may differ from the reference by
+  the rounding its computation can add (:func:`_box_tolerance`,
+  :func:`_median_oracle`).
   Each structure is one ``_STRUCTURES`` entry (options, a build step, a
   handler per verb, optionally a batched handler) run by the one loop in
   :func:`run_script`.  That loop answers each run of reads between
@@ -31,10 +34,6 @@ Four commands:
 
 * ``bench`` — deterministic touched-cell statistics for hybrid parameter
   sweeps against the predicted bounds.
-* ``median CUBE SCALES lo1 hi1 [..]`` — one range weighted median query (the
-  ``cube-median`` verb's code).
-* ``select ARRAYS --op .. --k ..`` — one selection (the ``select`` and
-  ``agg-select`` verbs' code).
 
 All coordinates are 0-based (add 1 to translate to the common 1-based
 conventions in the literature).  Exit code 0 iff no errors and, in oracle
@@ -56,13 +55,16 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .cube import (
+    _EPS,
     MAX_DIMENSIONS,
     OPS,
+    PRODUCT,
     SUM,
     DataCube,
     PrefixCube,
     QueryBox,
     brute_force_range,
+    float_sum_error_bound,
     make_cube,
 )
 from .dynamic import FenwickCube, HybridCube
@@ -188,9 +190,11 @@ def _oracle_check(cmd: ScriptCommand, got, expected, rel_tol=0.0, abs_tol=0.0):
     else:
         ok = got == expected
     if not ok:
+        # Every digit of a float: 12 could print two different answers alike.
+        shown = lambda v: repr(float(v)) if isinstance(v, float) else str(v)
         raise CliError(
             f"oracle mismatch at line {cmd.lineno}: {cmd.raw!r}: got "
-            f"{format_value(got)} expected {format_value(expected)}"
+            f"{shown(got)} expected {shown(expected)}"
         )
 
 
@@ -261,6 +265,13 @@ class _BoxReads:
     twin: object  # the cube the oracle scans (None for updatable ones without --oracle)
     structure: object = None  # updatable structures: the one ``update`` goes to
     read_many: Optional[Callable] = None  # static structures: (lo, hi) N x d arrays -> answers
+    mass: float = 0.0  # under --oracle: sum of |cells| and |applied deltas| (see _box_tolerance)
+
+
+def _mass(cube: DataCube) -> float:
+    """Sum of |cells| as a float (inf past the float range)."""
+    with np.errstate(over="ignore"):
+        return float(np.abs(cube.values, dtype=np.float64).sum())
 
 
 def _build_prefix(o, data_path, oracle):
@@ -268,7 +279,7 @@ def _build_prefix(o, data_path, oracle):
     pc = PrefixCube(cube, o["op"])
     return _BoxReads(
         cube, o["op"], pc.range_aggregate, lambda: pc.lookups_last_query, cube,
-        read_many=pc.range_aggregate_many,
+        read_many=pc.range_aggregate_many, mass=_mass(cube) if oracle else 0.0,
     )
 
 
@@ -277,7 +288,7 @@ def _updatable(cube, op, structure, oracle):
     twin = make_cube(cube.dims, cube.values, kind=cube.kind) if oracle else None
     return _BoxReads(
         cube, op, structure.range_query, lambda: structure.cells_touched_last_query, twin,
-        structure,
+        structure, mass=_mass(cube) if oracle else 0.0,
     )
 
 
@@ -305,7 +316,14 @@ def _build_median(o, data_path, oracle):
     scales = load_number_lines(o["scales"])
     index = CubeMedianIndex(cube, scales)
     line = MedianIndex(WeightedPoints1D(scales[0], cube.flat())) if cube.ndim == 1 else None
-    return SimpleNamespace(cube=cube, index=index, line=line)
+    cost_tol = 0.0
+    if oracle:
+        # A cost is read from prefix sums over the whole cube of the weights
+        # and of weight * scale, so its rounding grows with the total weight
+        # and the peak |scale|, not with the weight in the box.
+        peak = max(abs(x) for scale in index.scales for x in (scale[0], scale[-1]))
+        cost_tol = 64 * cube.size * _EPS * _mass(cube) * float(peak)
+    return SimpleNamespace(cube=cube, index=index, line=line, cost_tol=cost_tol)
 
 
 def _build_kmedian(o, data_path, oracle) -> WeightedPoints1D:
@@ -329,11 +347,23 @@ def _build_select(o, data_path, oracle):
 # raises ValueError/IndexError for bad input; the caller adds the line number.
 
 
+def _box_tolerance(s: _BoxReads) -> tuple:
+    """``(rel_tol, abs_tol)`` of the oracle check of a float box read.
+
+    A sum is within :func:`float_sum_error_bound` of the terms the table
+    combined, a product within a relative 1e-9; min and max pick a cell and
+    are exact.  Int answers are compared exactly whatever this returns.
+    """
+    if s.op is SUM:
+        return 0.0, float_sum_error_bound(s.cube.ndim, s.cube.size, s.mass)
+    return (1e-9 if s.op is PRODUCT else 0.0), 0.0
+
+
 def _box_read(s: _BoxReads, cmd, oracle):
     box = _box(cmd, s.cube.dims)
     value = s.read(box)
-    expected = brute_force_range(s.twin, box, s.op) if oracle else None
-    return _Answer((value,), value, s.touched(), expected)
+    check = (brute_force_range(s.twin, box, s.op), *_box_tolerance(s)) if oracle else ()
+    return _Answer((value,), value, s.touched(), *check)
 
 
 def _box_arrays(run, d: int):
@@ -364,11 +394,12 @@ def _box_reads(s: _BoxReads, run, oracle):
     lo, hi = _box_arrays(run, s.cube.ndim)
     values = s.read_many(lo, hi).tolist()
     touched = s.touched()
-    expected = [None] * len(run)
-    if oracle:
-        boxes = zip(lo.tolist(), hi.tolist())
-        expected = [brute_force_range(s.twin, QueryBox(a, b), s.op) for a, b in boxes]
-    return (_Answer((v,), v, touched, e) for v, e in zip(values, expected))
+    if not oracle:
+        return (_Answer((v,), v, touched) for v in values)
+    boxes = zip(lo.tolist(), hi.tolist())
+    expected = [brute_force_range(s.twin, QueryBox(a, b), s.op) for a, b in boxes]
+    tol = _box_tolerance(s)
+    return (_Answer((v,), v, touched, e, *tol) for v, e in zip(values, expected))
 
 
 def _box_update(s: _BoxReads, cmd, oracle):
@@ -383,6 +414,7 @@ def _box_update(s: _BoxReads, cmd, oracle):
     s.structure.update(coords, delta)
     if oracle:
         s.twin.values[coords] = s.op.combine(s.twin.values[coords].item(), delta)
+        s.mass += abs(delta)
     return _Answer((), None, s.structure.cells_touched_last_update)
 
 
@@ -393,31 +425,30 @@ def _median(s, cmd, oracle):
     if not 0 <= i <= j < len(s.line):
         raise ValueError(f"invalid position range [{i}, {j}]")
     r, cost = range_weighted_median(s.line, i, j)
-    expected = None
-    if oracle:
-        xs, ws = s.line.points.xs, s.line.points.ws
-        expected = min(
-            sum(w * abs(x - xs[r2]) for x, w in zip(xs[i : j + 1], ws[i : j + 1]))
-            for r2 in range(i, j + 1)
-        )
-    return _Answer((r, cost), cost, s.line.probes_last_query, expected)
+    check = _median_oracle(s, QueryBox([i], [j])) if oracle else ()
+    return _Answer((r, cost), cost, s.line.probes_last_query, *check)
 
 
 def _cube_median(s, cmd, oracle):
     box = _box(cmd, s.cube.dims)
     res = cube_range_weighted_median(s.index, box)
-    expected = None
-    if oracle:
-        scales = s.index.scales
-        expected = min(
-            sum(
-                s.cube.cell(c)
-                * sum(abs(scales[j][c[j]] - scales[j][r[j]]) for j in range(s.cube.ndim))
-                for c in box.coords()
-            )
-            for r in box.coords()
+    check = _median_oracle(s, box) if oracle else ()
+    return _Answer((*res.location, res.cost), res.cost, s.index.rangesum_probes_last_query, *check)
+
+
+def _median_oracle(s, box: QueryBox) -> tuple:
+    """``(expected, rel_tol, abs_tol)`` of a median cost over ``box``: the
+    least cost of any cell of the box as the median, and the float rounding
+    bound the build computed."""
+    scales = s.index.scales
+    expected = min(
+        sum(
+            s.cube.cell(c) * sum(abs(x[c[j]] - x[r[j]]) for j, x in enumerate(scales))
+            for c in box.coords()
         )
-    return _Answer((*res.location, res.cost), res.cost, s.index.rangesum_probes_last_query, expected)
+        for r in box.coords()
+    )
+    return expected, 0.0, s.cost_tol
 
 
 def _kmedian(pts: WeightedPoints1D, cmd, oracle):
@@ -435,8 +466,11 @@ def _kmedian(pts: WeightedPoints1D, cmd, oracle):
 
 
 def _select(s, cmd, oracle):
+    """``select k [q] [eps]``: the k-th smallest weight; ``agg-select`` the
+    structure's aggregate of the k smallest.  ``q`` is the split size (absent:
+    the default, 0: no stored split) and ``eps`` the search's accuracy."""
     agg = s.op if cmd.verb == "agg-select" else None
-    if not 1 <= len(cmd.args) <= (2 if agg is None else 3):
+    if not 1 <= len(cmd.args) <= 3:
         raise ValueError(f"bad {cmd.verb} arguments {cmd.raw!r}")
     try:
         k = int(cmd.args[0])
@@ -444,12 +478,6 @@ def _select(s, cmd, oracle):
         eps = float(cmd.args[2]) if len(cmd.args) > 2 else 1e-6
     except ValueError:
         raise ValueError(f"bad {cmd.verb} arguments {cmd.raw!r}") from None
-    return _selection(s, agg, k, q, eps, oracle)
-
-
-def _selection(s, agg, k, q, eps, oracle):
-    """The k-th smallest weight, or with ``agg`` the ``agg`` aggregate of the k
-    smallest; split size ``q`` (None: the default, 0: no stored split)."""
     if q is None:
         q = choose_split_q(s.arrays)
     split = build_split(s.arrays, q) if q else None
@@ -541,9 +569,9 @@ def parse_struct_spec(spec: str):
     return name, options
 
 
-def run_script(data_path, struct_spec: str, script_path, oracle: bool = False, out=None):
+def run_script(data_path, struct_spec: str, script_path, oracle: bool = False):
     """Execute a script against one structure; returns printed lines."""
-    out = out if out is not None else []
+    out = []
     name, options = parse_struct_spec(struct_spec)
     entry = _STRUCTURES[name]
     with open(script_path, "r", encoding="utf-8") as handle:
@@ -703,19 +731,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--ops", type=int, default=200, help="operations per cell")
     p_bench.add_argument("--seed", type=int, required=True, help="RNG seed")
     p_bench.add_argument("--csv", action="store_true", help="comma-separated output")
-
-    p_median = sub.add_parser("median", help="range weighted median over a cube")
-    p_median.add_argument("cube")
-    p_median.add_argument("scales")
-    p_median.add_argument("box", type=int, nargs="+", help="lo1 hi1 [lo2 hi2 ...]")
-
-    p_select = sub.add_parser("select", help="k-th smallest / aggregate selection")
-    p_select.add_argument("arrays")
-    p_select.add_argument("--op", choices=("sum", "product", "max"), default="sum")
-    p_select.add_argument("--agg", choices=("sum", "product", "max"), default=None)
-    p_select.add_argument("--k", type=int, required=True)
-    p_select.add_argument("--q", type=int, default=None, help="split size (0 = no stored split)")
-    p_select.add_argument("--eps", type=float, default=1e-6)
     return parser
 
 
@@ -733,30 +748,10 @@ def _cmd_bench(ns) -> int:
     return 0
 
 
-def _cmd_median(ns) -> int:
-    state = _build_median({"scales": ns.scales}, ns.cube, oracle=False)
-    # The box goes through the cube-median handler as that verb's arguments.
-    args = tuple(map(str, ns.box))
-    cmd = ScriptCommand(0, "median", args, " ".join(args))
-    print(_line(_cube_median(state, cmd, oracle=False)))
-    return 0
-
-
-def _cmd_select(ns) -> int:
-    state = _build_select({"op": ns.op}, ns.arrays, oracle=False)
-    print(_line(_selection(state, ns.agg, ns.k, ns.q, ns.eps, oracle=False)))
-    return 0
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    handler = {
-        "query": _cmd_query,
-        "bench": _cmd_bench,
-        "median": _cmd_median,
-        "select": _cmd_select,
-    }[ns.command]
+    handler = {"query": _cmd_query, "bench": _cmd_bench}[ns.command]
     try:
         return handler(ns)
     except (CliError, OSError, ValueError, IndexError) as exc:

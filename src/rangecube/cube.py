@@ -33,6 +33,7 @@ __all__ = [
     "PrefixCube",
     "make_cube",
     "brute_force_range",
+    "float_sum_error_bound",
 ]
 
 #: Hard ceiling on cube dimensionality; inclusion-exclusion costs 2**d lookups
@@ -87,6 +88,7 @@ OPS = {op.name: op for op in (SUM, PRODUCT, XOR, MIN, MAX)}
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 _FLOAT_MAX = float(np.finfo(np.float64).max)
+_EPS = float(np.finfo(np.float64).eps)
 
 
 #: numpy dtype of each cube kind.
@@ -327,6 +329,19 @@ def brute_force_range(cube: DataCube, box: QueryBox, op: AggregateOp):
     for coords in box.coords():
         acc = op.combine(acc, values[coords].item())
     return acc
+
+
+def float_sum_error_bound(ndim: int, cells: int, mass) -> float:
+    """The absolute error bound of a float box sum read from a table over
+    ``cells`` cells in ``ndim`` dimensions: ``2**(ndim + 2) * cells * eps *
+    mass``, capped at the largest float.
+
+    ``mass`` is the sum of the magnitudes of every term the table combined:
+    the cells it was built from plus every delta applied since.
+    """
+    if not mass < _FLOAT_MAX:
+        return _FLOAT_MAX
+    return min(float(mass) * 2 ** (ndim + 2) * cells * _EPS, _FLOAT_MAX)
 
 
 _OVERFLOW_RISK = "overflow risk: |value| * cell count must stay below 2**62 for sum cubes"

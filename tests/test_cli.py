@@ -394,6 +394,67 @@ class TestBatchedReads:
         assert code == 0 and out.splitlines()[:4] == ["1", "10", "8", "4"]
 
     @pytest.mark.parametrize(
+        "struct, read",
+        [("prefix", "range_aggregate_many"), ("fenwick", "range_query"), ("hybrid", "range_query")],
+    )
+    def test_float_sum_oracle_bound(self, files, capsys, monkeypatch, struct, read):
+        """A float sum passes the oracle within 2**(d+2) * cells * eps * mass
+        (about 53.3 for these cells) of the scan, and fails outside it."""
+        from rangecube import cube as cube_module, dynamic
+
+        cls = {"prefix": cube_module.PrefixCube}.get(struct, dynamic._AxisProductTable)
+        original = getattr(cls, read)
+        cube = files("cube.txt", "1\n3\nfloat\n1e16 1.0 1.0\n")
+        script = files("s.txt", "query 1 2\nquery 0 0\n")
+        for shift, code, err in (
+            (0.0, 0, ""),  # the tables answer 0 where the cells sum to 2
+            (40.0, 0, ""),
+            (60.0, 1, "error: oracle mismatch at line 1: 'query 1 2': got 60.0 expected 2.0\n"),
+        ):
+            monkeypatch.setattr(cls, read, lambda self, *a, s=shift: original(self, *a) + s)
+            assert run(capsys, ["query", struct, cube, script, "--oracle"])[::2] == (code, err)
+
+    def test_float_mismatch_prints_every_digit(self, files, capsys, monkeypatch):
+        from rangecube.cube import PrefixCube
+
+        original = PrefixCube.range_aggregate
+        monkeypatch.setattr(PrefixCube, "range_aggregate", lambda self, box: original(self, box) + 1e-14)
+        cube = files("cube.txt", "1\n3\nfloat\n0.1 0.2 0.3\n")
+        script = files("s.txt", "query 1 2\n")
+        code, out, err = run(capsys, ["query", "prefix", cube, script, "--oracle"])
+        assert code == 1
+        assert err == "error: oracle mismatch at line 1: 'query 1 2': got 0.5000000000000101 expected 0.5\n"
+
+    @pytest.mark.parametrize(
+        "line, search", [("median 0 3", "range_weighted_median"), ("cube-median 0 3", "cube_range_weighted_median")]
+    )
+    def test_float_median_oracle_bound(self, files, capsys, monkeypatch, line, search):
+        """A float median cost passes the oracle within 64 * cells * eps *
+        total weight * peak |scale| (about 2.4e-12 here), and fails outside it."""
+        import dataclasses
+
+        import rangecube.cli as cli
+
+        found = getattr(cli, search)
+
+        def pushed(shift):
+            def call(*args):
+                res = found(*args)
+                if isinstance(res, tuple):
+                    return res[0], res[1] + shift
+                return dataclasses.replace(res, cost=res.cost + shift)
+
+            return call
+
+        cube = files("w.txt", "1\n4\nfloat\n0.5 1.5 0.25 2.0\n")
+        scales = files("scales.txt", "0.1 0.7 2.5 10.0\n")
+        script = files("s.txt", line + "\n")
+        argv = ["query", f"median:scales={scales}", cube, script, "--oracle"]
+        for shift, code in ((0.0, 0), (1e-13, 0), (1e-11, 1)):
+            monkeypatch.setattr(cli, search, pushed(shift))
+            assert run(capsys, argv)[0] == code
+
+    @pytest.mark.parametrize(
         "struct, line, key",
         [("prefix", "query 0 1 1 1", "prefix_lookups_max"), ("rmq", "rmq 0 1 1 1", "rmq_lookups_max")],
     )
@@ -480,68 +541,52 @@ class TestBench:
 
 
 class TestTopLevelCommands:
+    """What the removed ``median`` and ``select`` commands printed, printed by
+    ``query`` scripts."""
+
     def test_median_command(self, files, capsys):
         cube = files("cube.txt", "2\n3 3\nint\n1 1 1 1 1 1 1 1 1\n")
         scales = files("scales.txt", "0 1 2\n0 1 2\n")
-        code, out, err = run(capsys, ["median", cube, scales, "0", "2", "0", "2"])
+        script = files("s.txt", "cube-median 0 2 0 2\n")
+        code, out, err = run(capsys, ["query", f"median:scales={scales}", cube, script])
         assert code == 0
-        assert out == "1 1 12\n"
+        assert out.splitlines()[0] == "1 1 12"
 
     def test_median_zero_box(self, files, capsys):
         cube = files("cube.txt", "2\n2 2\nint\n0 0 0 1\n")
         scales = files("scales.txt", "0 1\n0 1\n")
-        code, out, err = run(capsys, ["median", cube, scales, "0", "0", "0", "0"])
+        script = files("s.txt", "cube-median 0 0 0 0\n")
+        code, out, err = run(capsys, ["query", f"median:scales={scales}", cube, script])
         assert code == 1
-        assert "positive weight" in err
+        assert err.startswith("error: line 1:") and "positive weight" in err
 
     def test_select_command(self, files, capsys):
         arrays = files("arr.txt", "1 2\n1 2\n")
-        code, out, err = run(capsys, ["select", arrays, "--op", "sum", "--k", "2"])
-        assert code == 0 and out == "3\n"
-        code, out, err = run(
-            capsys, ["select", arrays, "--op", "sum", "--agg", "sum", "--k", "3"]
-        )
-        assert code == 0 and out == "8\n"
-        code, out, err = run(
-            capsys, ["select", arrays, "--op", "max", "--k", "4"]
-        )
-        assert code == 0 and out == "2\n"
-
-    def test_median_command_matches_script(self, files, capsys):
-        cube = files("cube.txt", "2\n3 3\nint\n4 0 1 2 7 1 0 3 5\n")
-        scales = files("scales.txt", "0 1 5\n0 2 3\n")
-        for box in (["0", "2", "0", "2"], ["1", "2", "0", "1"], ["0", "0", "2", "2"]):
-            script = files("s.txt", "cube-median " + " ".join(box) + "\n")
-            code, out, err = run(capsys, ["query", f"median:scales={scales}", cube, script])
-            assert code == 0
-            code, one, err = run(capsys, ["median", cube, scales, *box])
-            assert code == 0
-            assert one == out.splitlines(keepends=True)[0]
-
-    @pytest.mark.parametrize("op", ["sum", "product", "max"])
-    def test_select_command_matches_script(self, files, capsys, op):
-        arrays = files("arr.txt", "1 2 5\n1 3 4\n2 2 7\n")
-        for line, flags in (
-            ("select 4", ["--k", "4"]),
-            ("select 9 1", ["--k", "9", "--q", "1"]),
-            ("select 27 0", ["--k", "27", "--q", "0"]),
-            ("agg-select 5", ["--agg", op, "--k", "5"]),
-            ("agg-select 8 2", ["--agg", op, "--k", "8", "--q", "2"]),
-        ):
-            script = files("s.txt", line + "\n")
-            code, out, err = run(capsys, ["query", f"select:op={op}", arrays, script])
-            assert code == 0
-            code, one, err = run(capsys, ["select", arrays, "--op", op, *flags])
-            assert code == 0
-            assert one == out.splitlines(keepends=True)[0]
+        script = files("s.txt", "select 2\nagg-select 3\n")
+        code, out, err = run(capsys, ["query", "select:op=sum", arrays, script, "--oracle"])
+        assert code == 0 and out.splitlines()[:2] == ["3", "8"]
+        script = files("s.txt", "select 4\n")
+        code, out, err = run(capsys, ["query", "select:op=max", arrays, script, "--oracle"])
+        assert code == 0 and out.splitlines()[0] == "2"
 
     def test_select_float_eps(self, files, capsys):
+        # q = 1 is the default split of two arrays, so an eps needs no other q.
         arrays = files("arr.txt", "0.5 1.5\n0.25 0.75\n")
-        code, out, err = run(
-            capsys, ["select", arrays, "--op", "sum", "--k", "4", "--eps", "1e-9"]
-        )
+        script = files("s.txt", "select 4 1 1e-9\n")
+        code, out, err = run(capsys, ["query", "select:op=sum", arrays, script, "--oracle"])
         assert code == 0
-        assert abs(float(out) - 2.25) < 1e-6
+        assert abs(float(out.splitlines()[0]) - 2.25) < 1e-6
+        script = files("s.txt", "select 4 1 1e-9 7\n")
+        code, out, err = run(capsys, ["query", "select:op=sum", arrays, script])
+        assert code == 1
+        assert err == "error: line 1: bad select arguments 'select 4 1 1e-9 7'\n"
+
+    @pytest.mark.parametrize("argv", [["median", "c", "s", "0", "1"], ["select", "a", "--k", "1"]])
+    def test_only_query_and_bench(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_main_calls_share_one_parser(files, capsys):
@@ -549,12 +594,11 @@ def test_main_calls_share_one_parser(files, capsys):
     each prints in a process of its own."""
     cube = files("cube.txt", CUBE_2X2)
     script = files("s.txt", "prefix 1 1\nprefix 0 1\n")
-    arrays = files("arr.txt", "1 2\n1 2\n")
     calls = [
         ["query", "prefix:op=sum", cube, script, "--oracle"],
-        ["select", arrays, "--op", "sum", "--agg", "sum", "--k", "3"],
+        ["bench", "--n", "4", "--d", "2", "--ops", "20", "--seed", "1", "--csv"],
         ["query", "fenwick", cube, script],
-        ["select", arrays, "--k", "2"],
+        ["bench", "--n", "4", "--d", "1", "--k", "2", "--q", "1", "--seed", "2"],
     ]
     separate = [
         subprocess.run(

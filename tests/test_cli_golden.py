@@ -45,6 +45,12 @@ CUBES = {
     "bad_token": "2\n2 2\nint\n1 2\nzap 4\n",
     "arrays": "1 2\n1 2\n",
     "float_arrays": "0.5 1.5\n0.25 2.0\n",
+    # float sums whose table answer differs from the scan by rounding
+    "float_tenths": "1\n3\nfloat\n0.1 0.2 0.3\n",
+    "float_cancel": "1\n3\nfloat\n1e16 1.0 1.0\n",
+    "float_weights1": "1\n4\nfloat\n0.5 1.5 0.25 2.0\n",
+    "float_weights2": "2\n3 3\nfloat\n0.3 1.7 0.2\n2.5 0.1 0.9\n1.1 0.6 3.3\n",
+    "zero_box": "2\n2 2\nint\n0 0 0 1\n",
 }
 
 #: Scale files by name.
@@ -52,6 +58,9 @@ SCALES = {
     "grid3": "0 1 2\n0 1 2\n",
     "line4": "1 2 3 10\n",
     "nan_scale": "0 nan 2\n0 1 2\n",
+    "float_line4": "0.1 0.7 2.5 10.0\n",
+    "float_grid3": "0.1 0.7 2.5\n-1.5 0.25 4.0\n",
+    "grid2": "0 1\n0 1\n",
 }
 
 #: (case name, structure spec, cube, script, --oracle).  ``{name}`` in a
@@ -94,6 +103,14 @@ CASES = [
     ("nan-cell-rmq", "rmq", "nan_cell", "rmq 0 3\n", True),
     ("nan-scale-median", "median:scales={nan_scale}", "ones3x3", "cube-median 0 2 0 2\n", False),
     ("inf-update-float", "fenwick", "float2", "update 0 0 inf\nquery 0 1 0 1\n", False),
+    # float answers within the oracle's rounding bound
+    ("prefix-sum-float-tenths", "prefix", "float_tenths", "query 1 2\nquery 0 2\nprefix 1\n", True),
+    ("fenwick-sum-float-tenths", "fenwick", "float_tenths", "query 1 2\nupdate 0 0.1\nquery 0 2\n", True),
+    ("prefix-sum-float-cancel", "prefix", "float_cancel", "query 1 2\nquery 0 2\n", True),
+    ("fenwick-sum-float-cancel", "fenwick", "float_cancel", "query 1 2\nupdate 2 0.5\nquery 1 2\n", True),
+    ("median-line-float", "median:scales={float_line4}", "float_weights1", "median 0 3\nmedian 1 2\ncube-median 0 3\n", True),
+    ("median-cube-float", "median:scales={float_grid3}", "float_weights2", "cube-median 0 2 0 2\ncube-median 1 2 0 1\n", True),
+    ("select-sum-float-eps", "select", "float_arrays", "select 4 1 1e-9\nselect 2 0 0.5\nagg-select 3 1 1e-9\n", True),
     # bad lines and bad input
     ("bad-unknown-verb", "prefix", "int2", "prefix 1 1\nfrobnicate 1\n", False),
     ("bad-unsupported-verb", "rmq", "int2", "update 0 0 5\n", False),
@@ -106,6 +123,7 @@ CASES = [
     ("bad-option", "rmq:mode=median", "int2", "rmq 0 0 0 0\n", False),
     ("bad-cube-short", "prefix", "short", "prefix 0\n", False),
     ("bad-cube-token", "rmq", "bad_token", "rmq 0 0 0 0\n", False),
+    ("bad-median-zero-box", "median:scales={grid2}", "zero_box", "cube-median 0 0 0 0\n", False),
 ]
 
 
