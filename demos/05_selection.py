@@ -36,7 +36,7 @@ print(f"candidates scoring <= {value}: {count_leq(arrays, value)}")
 # single binary search per remaining combination.
 q = choose_split_q(arrays)
 split = build_split(arrays, q)
-print(f"with a q={q} split ({len(split.s_l)} stored sums): "
+print(f"with a q={q} split ({len(split.left)} stored sums): "
       f"{kth_smallest(arrays, k, split=split)} (same answer)")
 
 total = aggregate_k_smallest(arrays, "sum", k)

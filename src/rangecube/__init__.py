@@ -38,6 +38,7 @@ from .medians import (
     CubeMedianIndex,
     MedianIndex,
     WeightedPoints1D,
+    brute_force_median,
     cube_range_weighted_median,
     hyperrect_1_median,
     interval_1_median,

@@ -18,11 +18,11 @@ Two commands:
   ``prefix b1..bd`` | ``query lo1 hi1 .. lod hid`` | ``update c1..cd delta`` |
   ``rmq lo1 hi1 ..`` | ``median i j`` | ``cube-median lo1 hi1 ..`` |
   ``kmedian K L`` | ``select k [q] [eps]`` | ``agg-select k [q] [eps]``.
-  With ``--oracle`` every answer is cross-checked against the brute-force
-  reference (scan, naive DP or sort-all) and the first mismatch aborts.
-  Int answers must be equal; a float answer may differ from the reference by
-  the rounding its computation can add (:func:`_box_tolerance`,
-  :func:`_median_oracle`).
+  With ``--oracle`` every answer is cross-checked against its brute-force
+  twin (``brute_force_range``, ``brute_force_median``, the naive K-median DP,
+  sort-all) and the first mismatch aborts.  Int answers must be equal; a float
+  answer may differ by the rounding its computation can add, as
+  ``float_sum_error_bound`` and ``CubeMedianIndex.cost_error_bound`` state.
   Each structure is one ``_STRUCTURES`` entry (options, a build step, a
   handler per verb, optionally a batched handler) run by the one loop in
   :func:`run_script`.  That loop answers each run of reads between
@@ -55,7 +55,6 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .cube import (
-    _EPS,
     MAX_DIMENSIONS,
     OPS,
     PRODUCT,
@@ -73,6 +72,7 @@ from .medians import (
     CubeMedianIndex,
     MedianIndex,
     WeightedPoints1D,
+    brute_force_median,
     cube_range_weighted_median,
     interval_k_median,
     interval_k_median_naive,
@@ -316,14 +316,7 @@ def _build_median(o, data_path, oracle):
     scales = load_number_lines(o["scales"])
     index = CubeMedianIndex(cube, scales)
     line = MedianIndex(WeightedPoints1D(scales[0], cube.flat())) if cube.ndim == 1 else None
-    cost_tol = 0.0
-    if oracle:
-        # A cost is read from prefix sums over the whole cube of the weights
-        # and of weight * scale, so its rounding grows with the total weight
-        # and the peak |scale|, not with the weight in the box.
-        peak = max(abs(x) for scale in index.scales for x in (scale[0], scale[-1]))
-        cost_tol = 64 * cube.size * _EPS * _mass(cube) * float(peak)
-    return SimpleNamespace(cube=cube, index=index, line=line, cost_tol=cost_tol)
+    return SimpleNamespace(cube=cube, index=index, line=line)
 
 
 def _build_kmedian(o, data_path, oracle) -> WeightedPoints1D:
@@ -437,18 +430,8 @@ def _cube_median(s, cmd, oracle):
 
 
 def _median_oracle(s, box: QueryBox) -> tuple:
-    """``(expected, rel_tol, abs_tol)`` of a median cost over ``box``: the
-    least cost of any cell of the box as the median, and the float rounding
-    bound the build computed."""
-    scales = s.index.scales
-    expected = min(
-        sum(
-            s.cube.cell(c) * sum(abs(x[c[j]] - x[r[j]]) for j, x in enumerate(scales))
-            for c in box.coords()
-        )
-        for r in box.coords()
-    )
-    return expected, 0.0, s.cost_tol
+    """``(expected, rel_tol, abs_tol)`` of a median cost over ``box``."""
+    return brute_force_median(s.cube, s.index.scales, box), 0.0, s.index.cost_error_bound
 
 
 def _kmedian(pts: WeightedPoints1D, cmd, oracle):

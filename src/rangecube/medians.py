@@ -18,7 +18,7 @@ Three families of operations:
   a query range is a constant-time expression and the optimal position is
   found by binary search on the left/right weight balance, in 1D directly and
   over a data cube through prefix-sum cubes of the weight cube and of the d
-  coordinate-scaled cubes.
+  coordinate-scaled cubes, checked against :func:`brute_force_median`.
 """
 
 from __future__ import annotations
@@ -27,12 +27,14 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .cube import (
     SUM,
+    _EPS,
     _FLOAT_MAX,
     _INT64_MAX,
     _INT64_MIN,
@@ -42,6 +44,7 @@ from .cube import (
     _inclusion_exclusion,
     _prefix_table,
     _quiet,
+    _round_once,
 )
 
 __all__ = [
@@ -60,6 +63,7 @@ __all__ = [
     "hyperrect_1_median",
     "range_weighted_median",
     "cube_range_weighted_median",
+    "brute_force_median",
 ]
 
 _INF = math.inf
@@ -477,7 +481,8 @@ class CubeMedianIndex:
     |scale| reaches ``2**62``, so no table can wrap, or once a scale leaves
     int64.  Scales must be finite floats (an int past the float range is
     rejected too); a float table whose sum overflowed is reported when a
-    query reads it.
+    query reads it.  A float cost is within :attr:`cost_error_bound` of the
+    exact one.
     """
 
     def __init__(self, cube: DataCube, scales: Sequence[Sequence]):
@@ -522,6 +527,16 @@ class CubeMedianIndex:
                     raise ValueError(f"scale list {j} holds an int past int64")
         dtype = np.int64 if exact else np.float64
         values = cube.values.astype(dtype)
+        #: 0 when exact, else 64 * cells * eps * W * peak |scale|, capped at
+        #: the largest float: W is the whole cube's weight, as a cost is read
+        #: from prefix sums over the whole cube.
+        self.cost_error_bound = 0.0
+        if not exact:
+            peak = max(abs(float(x)) for scale in scales for x in (scale[0], scale[-1]))
+            with _quiet(values):
+                bound = 64 * cube.size * _EPS * float(values.sum()) * peak
+            # nan (an overflowed W times a zero peak) caps as inf does
+            self.cost_error_bound = bound if bound < _FLOAT_MAX else _FLOAT_MAX
         self.ps_cube = _prefix_table(values, SUM)
         self.psd_cubes = []
         for j, scale in enumerate(scales):
@@ -584,3 +599,20 @@ def cube_range_weighted_median(idx: CubeMedianIndex, box: QueryBox) -> CubeMedia
         total_cost = total_cost + cost_j
     location = tuple(idx.scales[j][r] for j, r in enumerate(indices))
     return CubeMedianResult(tuple(indices), location, total_cost)
+
+
+def brute_force_median(cube: DataCube, scales: Sequence[Sequence], box: QueryBox):
+    """Least total weighted L1 distance from the cells of ``box`` to one of
+    them, trying each: the reference for the median searches.  Exact Python
+    ints for an int cube with int scales, else exact rationals rounded once.
+    """
+    box.validate_for(cube.dims)
+    exact = cube.kind == "int" and all(isinstance(x, (int, np.integer)) for s in scales for x in s)
+    number = int if exact else Fraction
+    axes = [[number(x) for x in scale] for scale in scales]
+    cells = [(c, number(cube.values[c].item())) for c in box.coords()]
+    best = min(
+        sum(w * sum(abs(x[c[j]] - x[r[j]]) for j, x in enumerate(axes)) for c, w in cells)
+        for r, _ in cells
+    )
+    return best if exact else _round_once(best)

@@ -158,9 +158,8 @@ class SelectionSplit:
 
     ``left`` holds all n^q operator-combinations sorted ascending; ``prefix``
     has ``prefix[j]`` = aggregate of the j smallest (``prefix[0]`` is the
-    identity).  ``s_l`` and ``ps_l`` give the same values as tuples.
-    ``prefix`` is built on first use: only aggregates read it, and an int
-    product split holds it as Python ints.
+    identity).  ``prefix`` is built on first use: only aggregates read it,
+    and an int product split holds it as Python ints.
     """
 
     q: int
@@ -176,14 +175,6 @@ class SelectionSplit:
         first = acc[:1] if op == "max" else _identity(op, acc.dtype)
         with np.errstate(over="ignore"):
             return _UFUNCS[op].accumulate(np.concatenate((first, acc)))
-
-    @property
-    def s_l(self) -> tuple:
-        return tuple(self.left.tolist())
-
-    @property
-    def ps_l(self) -> tuple:
-        return tuple(self.prefix.tolist())
 
 
 def _split(arrays: SortedWeightArrays, q: int) -> SelectionSplit:

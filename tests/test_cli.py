@@ -406,6 +406,9 @@ class TestBatchedReads:
         original = getattr(cls, read)
         cube = files("cube.txt", "1\n3\nfloat\n1e16 1.0 1.0\n")
         script = files("s.txt", "query 1 2\nquery 0 0\n")
+        # The scan sums in exact rationals: 1e308 over [1, 3], where a float fold reads inf.
+        far = files("far.txt", "1\n4\nfloat\n-1e308 1e308 1e308 -1e308\n")
+        assert run(capsys, ["query", struct, far, files("q.txt", "query 1 3\n"), "--oracle"])[::2] == (0, "")
         for shift, code, err in (
             (0.0, 0, ""),  # the tables answer 0 where the cells sum to 2
             (40.0, 0, ""),

@@ -12,6 +12,7 @@ from rangecube.medians import (
     MedianIndex,
     WeightedPoints1D,
     augment_points,
+    brute_force_median,
     cube_range_weighted_median,
     hyperrect_1_median,
     interval_1_median,
@@ -222,7 +223,7 @@ class TestInterval1Median:
             res = interval_1_median(WeightedPoints1D(xs, ws), 0)
             # direct scan: first position where left weight reaches half
             total = sum(ws)
-            best = min(sum(w * abs(x - c) for x, w in zip(xs, ws)) for c in xs)
+            best = brute_force_median(make_cube([n], ws), [xs], QueryBox([0], [n - 1]))
             assert res.cost == best
             if total > 0:
                 acc = 0
@@ -297,11 +298,6 @@ class TestMedianIndex:
 
 
 class TestRangeWeightedMedian:
-    def brute(self, idx, i, j):
-        return min(
-            (idx.wsum_lr(i, r) + idx.wsum_rl(r, j), r) for r in range(i, j + 1)
-        )
-
     def test_examples(self):
         idx = MedianIndex(WeightedPoints1D([1, 2, 3, 10], [1, 1, 1, 1]))
         r, cost = range_weighted_median(idx, 0, 2)
@@ -320,7 +316,7 @@ class TestRangeWeightedMedian:
             idx = MedianIndex(WeightedPoints1D(xs, ws))
             i = rng.randint(0, n - 1)
             j = rng.randint(i, n - 1)
-            best_cost, _ = self.brute(idx, i, j)
+            best_cost = brute_force_median(make_cube([n], ws), [xs], QueryBox([i], [j]))
             r, cost = range_weighted_median(idx, i, j)
             assert cost == best_cost
             assert idx.wsum_lr(i, r) + idx.wsum_rl(r, j) == cost
@@ -375,26 +371,8 @@ class TestFloatInstances:
             i = rng.randint(0, n - 1)
             j = rng.randint(i, n - 1)
             _, cost = range_weighted_median(idx, i, j)
-            brute = min(
-                sum(w * abs(x - xs[r]) for x, w in zip(xs[i : j + 1], ws[i : j + 1]))
-                for r in range(i, j + 1)
-            )
+            brute = brute_force_median(make_cube([n], ws), [xs], QueryBox([i], [j]))
             assert abs(cost - brute) <= 1e-9
-
-
-def cube_median_brute(cube, scales, box):
-    """Position enumeration over every candidate cell in the box."""
-    best = None
-    for r in box.coords():
-        cost = 0
-        for c in box.coords():
-            w = cube.cell(c)
-            cost += w * sum(
-                abs(scales[j][c[j]] - scales[j][r[j]]) for j in range(len(r))
-            )
-        if best is None or cost < best[0]:
-            best = (cost, r)
-    return best
 
 
 class TestCubeMedian:
@@ -459,7 +437,7 @@ class TestCubeMedian:
         scales = [sorted(rng.sample(range(-(2**26), 2**26), 4)) for _ in range(2)]
         idx = CubeMedianIndex(cube, scales)
         box = QueryBox.full(cube.dims)
-        assert cube_range_weighted_median(idx, box).cost == cube_median_brute(cube, scales, box)[0]
+        assert cube_range_weighted_median(idx, box).cost == brute_force_median(cube, scales, box)
 
     def test_matches_brute_force(self):
         rng = random.Random(43)
@@ -480,7 +458,7 @@ class TestCubeMedian:
             except ValueError:
                 assert sum(cube.cell(c) for c in box.coords()) == 0
                 continue
-            best_cost, _ = cube_median_brute(cube, scales, box)
+            best_cost = brute_force_median(cube, scales, box)
             assert res.cost == best_cost
 
     def test_per_dimension_matches_materialized_slabs(self):

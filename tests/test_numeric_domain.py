@@ -22,6 +22,7 @@ from rangecube import (
     PrefixCube,
     QueryBox,
     SparseTable,
+    brute_force_median,
     brute_force_range,
     cube_range_weighted_median,
     float_sum_error_bound,
@@ -36,7 +37,7 @@ TABLES = {
 }
 
 FLOAT_MAX = float(np.finfo(np.float64).max)
-EPS = Fraction(float(np.finfo(np.float64).eps))
+EPS = float(np.finfo(np.float64).eps)
 
 
 def read(structure, box):
@@ -220,9 +221,8 @@ class TestMedianDomain:
 
 
 def test_float_sum_error_bound():
-    eps = float(EPS)
-    assert float_sum_error_bound(1, 3, 0.6) == 0.6 * 8 * 3 * eps
-    assert float_sum_error_bound(2, 4, Fraction(3, 2)) == 1.5 * 16 * 4 * eps
+    assert float_sum_error_bound(1, 3, 0.6) == 0.6 * 8 * 3 * EPS
+    assert float_sum_error_bound(2, 4, Fraction(3, 2)) == 1.5 * 16 * 4 * EPS
     for mass in (FLOAT_MAX, math.inf, Fraction(10**400), 1e307):
         assert float_sum_error_bound(6, 10**6, mass) == FLOAT_MAX
 
@@ -281,31 +281,23 @@ def edge_cases(draw):
     return dims, kind, values, boxes, updates
 
 
-def exact_fold(cube, box, op):
-    """The box aggregate in exact rationals (floats) or Python ints."""
-    cells = [Fraction(cube.values[c].item()) for c in box.coords()]
-    return sum(cells) if op is SUM else math.prod(cells)
-
-
 def agrees(got, cube, box, op, mass) -> bool:
     """``got`` equals the scan: exactly for int cubes, within the rounding
     bound for floats.
 
     A float sum's bound scales with ``mass``, the magnitude of every term the
-    table combined: its initial cells plus every delta applied since.  Float
-    answers are held against the exact rational fold: the scan's own float
-    fold can overflow where the answer fits (cells -1e308, 1e308, 1e308,
-    -1e308 over [1, 3] scan to inf; the answer is 1e308).
+    table combined: its initial cells plus every delta applied since.  A float
+    product is held against the exact rational fold, as the scan's own float
+    fold can overflow or underflow where the answer fits.  No answer agrees
+    with a sum or product past the float range: that read must raise.
     """
     if cube.kind == "int":
         return got == brute_force_range(cube, box, op)
-    exact = exact_fold(cube, box, op)
-    if abs(exact) > FLOAT_MAX:
-        return False  # the answer does not fit a float: it must raise
     if op is SUM:
         tol = float_sum_error_bound(cube.ndim, cube.size, mass)
-        return math.isclose(got, float(exact), rel_tol=1e-9, abs_tol=tol)
-    return math.isclose(got, float(exact), rel_tol=1e-9, abs_tol=1e-300)
+        return math.isclose(got, brute_force_range(cube, box, op), rel_tol=1e-9, abs_tol=tol)
+    exact = math.prod(Fraction(cube.values[c].item()) for c in box.coords())
+    return abs(exact) <= FLOAT_MAX and math.isclose(got, float(exact), rel_tol=1e-9, abs_tol=1e-300)
 
 
 def check_reads(structure, cube, boxes, op, mass):
@@ -321,6 +313,8 @@ def check_reads(structure, cube, boxes, op, mass):
 # The Fenwick node over both cells held 1e308 and absorbed 5e-324 before the
 # second update cancelled it: the read is 0.0 where the cells sum to 5e-324.
 @example(([2, 1], "float", [-0.0, 5e-324], [QueryBox([0, 0], [1, 0])], [((0, 0), 1e308), ((0, 0), -1e308)]))
+# Half the weights scaled by 1e-6: a cost off by 5.5e-16, past a box-weight bound (5.9e-19).
+@example(([2, 2], "float", [0.7, 2.5, 2.5e-06, 1e-07], [QueryBox([1, 0], [1, 1])], []))
 def test_edge_values_raise_or_match_brute_force(case):
     dims, kind, values, boxes, updates = case
     cube = outcome(lambda: make_cube(dims, values, kind=kind))
@@ -371,17 +365,8 @@ def check_median(cube, boxes):
         res = outcome(lambda: cube_range_weighted_median(idx, box))
         if isinstance(res, ValueError):
             continue
-        costs = [
-            sum(
-                Fraction(cube.cell(c)) * sum(abs(s[c[j]] - s[r[j]]) for j, s in enumerate(scales))
-                for c in box.coords()
-            )
-            for r in box.coords()
-        ]
-        best = min(costs)
+        best = brute_force_median(cube, scales, box)
         if cube.kind == "int":
             assert res.cost == best
         else:
-            weight = sum(Fraction(cube.cell(c)) for c in box.coords())
-            tol = float(min(Fraction(FLOAT_MAX), 64 * cube.size * EPS * weight * 2 * max(cube.dims)))
-            assert math.isclose(res.cost, float(best), rel_tol=1e-9, abs_tol=tol), (box, res)
+            assert math.isclose(res.cost, best, rel_tol=1e-9, abs_tol=idx.cost_error_bound), (box, res)

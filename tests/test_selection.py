@@ -106,12 +106,12 @@ class TestBuildSplit:
     def test_q1_is_first_array(self):
         arrays = SortedWeightArrays([[1, 2], [3, 4]], "sum")
         split = build_split(arrays, 1)
-        assert split.s_l == (1, 2)
-        assert split.ps_l == (0, 1, 3)
+        assert split.left.tolist() == [1, 2]
+        assert split.prefix.tolist() == [0, 1, 3]
 
     def test_sizes(self):
         arrays = SortedWeightArrays([[1, 2]] * 3, "sum")
-        assert len(build_split(arrays, 2).s_l) == 4
+        assert len(build_split(arrays, 2).left) == 4
 
     def test_prefix_built_only_for_aggregates(self):
         # An int product prefix holds Python ints: 0.3 s at n^q = 14400.
@@ -119,7 +119,7 @@ class TestBuildSplit:
         split = build_split(arrays, 2)
         assert kth_smallest(arrays, 14, split=split) == all_weights(arrays)[13]
         assert "prefix" not in vars(split)
-        assert split.ps_l == (1, 1, 2, 6, 24, 120, 720, 5760, 86400, 1728000)
+        assert split.prefix.tolist() == [1, 1, 2, 6, 24, 120, 720, 5760, 86400, 1728000]
         assert split.prefix.dtype == object
         assert aggregate_k_smallest(arrays, "product", 5, split=split) == math.prod(
             all_weights(arrays)[:5]
