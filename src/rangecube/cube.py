@@ -15,7 +15,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -322,25 +321,26 @@ def brute_force_range(cube: DataCube, box: QueryBox, op: AggregateOp):
 
     This is the reference oracle for every range structure in the package; it
     deliberately avoids prefix tables, vectorisation tricks and operator
-    inverses.  A float sum is folded in exact rationals and rounded once, as
-    a float fold can overflow where the sum fits (cells 1e308, 1e308, -1e308).
+    inverses.  A float sum or product is folded in exact rationals and rounded
+    once: a float fold can overflow where the answer fits (1e200 * 1e200 * 1e-200).
     """
     box.validate_for(cube.dims)
     values = cube.values
-    if op is SUM and values.dtype.kind == "f":
-        return _round_once(sum(Fraction(values[c].item()) for c in box.coords()))
+    if values.dtype.kind == "f" and (op is SUM or op is PRODUCT):
+        from fractions import Fraction
+        fold = sum if op is SUM else math.prod
+        return _round_once(fold(Fraction(values[c].item()) for c in box.coords()))
     acc = op.identity
     for coords in box.coords():
         acc = op.combine(acc, values[coords].item())
     return acc
 
 
-def _round_once(exact: Fraction) -> float:
-    """``exact`` rounded to the nearest float, ±inf past the float range."""
-    try:
-        return float(exact)
-    except OverflowError:
+def _round_once(exact) -> float:
+    """The rational ``exact`` rounded to a float, ±inf past the largest float."""
+    if abs(exact) > _FLOAT_MAX:
         return math.inf if exact > 0 else -math.inf
+    return float(exact)
 
 
 def float_sum_error_bound(ndim: int, cells: int, mass) -> float:
@@ -486,9 +486,8 @@ class PrefixCube:
     Cell ``b`` of the table holds the aggregate over the prefix subcube
     ``[0..b[0]] x ... x [0..b[d-1]]``.  Arbitrary boxes are recovered by
     inclusion-exclusion over the ``2**d`` prefix corners, which requires the
-    operator to be invertible.  A float sum read is within
-    ``float_sum_error_bound(d, cells, mass)`` of the exact one, ``mass``
-    summing the cube's |cells|.
+    operator to be invertible.  A float sum is within
+    :func:`float_sum_error_bound` of the exact one, its mass being Σ|cells|.
     """
 
     def __init__(self, cube: DataCube, op: AggregateOp):

@@ -251,9 +251,8 @@ class FenwickCube(_AxisProductTable):
 
     The tree array has the cube's shape; internally indices are 1-based and a
     node at index ``i`` covers the ``i & -i`` trailing entries, independently
-    in every dimension.  A float sum read is within
-    ``float_sum_error_bound(d, cells, mass)`` of the exact one, ``mass``
-    summing |initial cells| and |applied deltas|.
+    in every dimension.  A float sum is within :func:`float_sum_error_bound`
+    of the exact one, its mass being Σ|initial cells| + Σ|applied deltas|.
     """
 
     def __init__(self, cube: DataCube, op: AggregateOp):
@@ -272,9 +271,9 @@ class HybridCube(_AxisProductTable):
     ``q = d`` degenerates to constant-size updates with large queries,
     ``q = 0`` to a single block partition over all dimensions (constant-size
     queries, large updates).  Defaults ``k = ceil(sqrt(n))`` (n = largest
-    extent) and ``q = d // 2`` balance the two.  A float sum read is within
-    ``float_sum_error_bound(d, cells, mass)`` of the exact one, ``mass``
-    summing |initial cells| and |applied deltas|.
+    extent) and ``q = d // 2`` balance the two.  A float sum is within
+    :func:`float_sum_error_bound` of the exact one, its mass being Σ|initial
+    cells| + Σ|applied deltas|.
     """
 
     def __init__(

@@ -27,7 +27,6 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -467,6 +466,11 @@ def range_weighted_median(idx: MedianIndex, i: int, j: int):
     return _median_search(i, j, balance, cost)
 
 
+def _exact_costs(cube: DataCube, scales: Sequence[Sequence]) -> bool:
+    """Whether median costs are summed exactly in ints: an int cube, int scales."""
+    return cube.kind == "int" and all(isinstance(x, (int, np.integer)) for s in scales for x in s)
+
+
 class CubeMedianIndex:
     """Prefix-sum cubes answering range weighted median queries over a cube.
 
@@ -507,9 +511,7 @@ class CubeMedianIndex:
         self.cube = cube
         self.scales = scales
         self.dims = cube.dims
-        exact = cube.kind == "int" and all(
-            all(isinstance(x, (int, np.integer)) for x in scale) for scale in scales
-        )
+        exact = _exact_costs(cube, scales)
         if exact:
             # Python ints, so a scale past int64 is measured, not converted;
             # each list is sorted, so its peak |scale| sits at an end.
@@ -527,9 +529,8 @@ class CubeMedianIndex:
                     raise ValueError(f"scale list {j} holds an int past int64")
         dtype = np.int64 if exact else np.float64
         values = cube.values.astype(dtype)
-        #: 0 when exact, else 64 * cells * eps * W * peak |scale|, capped at
-        #: the largest float: W is the whole cube's weight, as a cost is read
-        #: from prefix sums over the whole cube.
+        #: 0 when exact, else 64 * cells * eps * W * peak |scale| capped at the
+        #: largest float, W the whole cube's weight: costs read whole-cube sums.
         self.cost_error_bound = 0.0
         if not exact:
             peak = max(abs(float(x)) for scale in scales for x in (scale[0], scale[-1]))
@@ -603,11 +604,12 @@ def cube_range_weighted_median(idx: CubeMedianIndex, box: QueryBox) -> CubeMedia
 
 def brute_force_median(cube: DataCube, scales: Sequence[Sequence], box: QueryBox):
     """Least total weighted L1 distance from the cells of ``box`` to one of
-    them, trying each: the reference for the median searches.  Exact Python
-    ints for an int cube with int scales, else exact rationals rounded once.
+    them, trying each: the reference for the median searches.  Exact ints for
+    int cubes and scales, else exact rationals rounded once (inf past floats).
     """
+    from fractions import Fraction
     box.validate_for(cube.dims)
-    exact = cube.kind == "int" and all(isinstance(x, (int, np.integer)) for s in scales for x in s)
+    exact = _exact_costs(cube, scales)
     number = int if exact else Fraction
     axes = [[number(x) for x in scale] for scale in scales]
     cells = [(c, number(cube.values[c].item())) for c in box.coords()]

@@ -406,9 +406,11 @@ class TestBatchedReads:
         original = getattr(cls, read)
         cube = files("cube.txt", "1\n3\nfloat\n1e16 1.0 1.0\n")
         script = files("s.txt", "query 1 2\nquery 0 0\n")
-        # The scan sums in exact rationals: 1e308 over [1, 3], where a float fold reads inf.
-        far = files("far.txt", "1\n4\nfloat\n-1e308 1e308 1e308 -1e308\n")
-        assert run(capsys, ["query", struct, far, files("q.txt", "query 1 3\n"), "--oracle"])[::2] == (0, "")
+        # The sum (1e308) and product (1e200) over [1, 3] fit; a float fold reads inf.
+        product = f"{struct}:op=product"
+        for spec, cells in ((struct, "-1e308 1e308 1e308 -1e308"), (product, "1e-200 1e200 1e200 1e-200")):
+            far = files("far.txt", f"1\n4\nfloat\n{cells}\n")
+            assert run(capsys, ["query", spec, far, files("q.txt", "query 1 3\n"), "--oracle"])[::2] == (0, "")
         for shift, code, err in (
             (0.0, 0, ""),  # the tables answer 0 where the cells sum to 2
             (40.0, 0, ""),

@@ -221,10 +221,9 @@ class TestInterval1Median:
             xs = sorted(rng.randint(0, 60) for _ in range(n))
             ws = [rng.randint(0, 8) for _ in range(n)]
             res = interval_1_median(WeightedPoints1D(xs, ws), 0)
+            assert res.cost == brute_force_median(make_cube([n], ws), [xs], QueryBox([0], [n - 1]))
             # direct scan: first position where left weight reaches half
             total = sum(ws)
-            best = brute_force_median(make_cube([n], ws), [xs], QueryBox([0], [n - 1]))
-            assert res.cost == best
             if total > 0:
                 acc = 0
                 for x, w in zip(xs, ws):
@@ -316,9 +315,8 @@ class TestRangeWeightedMedian:
             idx = MedianIndex(WeightedPoints1D(xs, ws))
             i = rng.randint(0, n - 1)
             j = rng.randint(i, n - 1)
-            best_cost = brute_force_median(make_cube([n], ws), [xs], QueryBox([i], [j]))
             r, cost = range_weighted_median(idx, i, j)
-            assert cost == best_cost
+            assert cost == brute_force_median(make_cube([n], ws), [xs], QueryBox([i], [j]))
             assert idx.wsum_lr(i, r) + idx.wsum_rl(r, j) == cost
 
     def test_probe_budget(self):
@@ -371,8 +369,7 @@ class TestFloatInstances:
             i = rng.randint(0, n - 1)
             j = rng.randint(i, n - 1)
             _, cost = range_weighted_median(idx, i, j)
-            brute = brute_force_median(make_cube([n], ws), [xs], QueryBox([i], [j]))
-            assert abs(cost - brute) <= 1e-9
+            assert abs(cost - brute_force_median(make_cube([n], ws), [xs], QueryBox([i], [j]))) <= 1e-9
 
 
 class TestCubeMedian:
@@ -458,8 +455,7 @@ class TestCubeMedian:
             except ValueError:
                 assert sum(cube.cell(c) for c in box.coords()) == 0
                 continue
-            best_cost = brute_force_median(cube, scales, box)
-            assert res.cost == best_cost
+            assert res.cost == brute_force_median(cube, scales, box)
 
     def test_per_dimension_matches_materialized_slabs(self):
         rng = random.Random(47)
