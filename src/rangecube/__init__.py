@@ -29,6 +29,7 @@ from .cube import (
     SUM,
     XOR,
     brute_force_range,
+    float_product_error_bound,
     float_sum_error_bound,
     make_cube,
 )

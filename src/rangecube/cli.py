@@ -21,8 +21,8 @@ Two commands:
   With ``--oracle`` every answer is cross-checked against its brute-force
   twin (``brute_force_range``, ``brute_force_median``, the naive K-median DP,
   sort-all) and the first mismatch aborts.  Int answers must be equal; a float
-  answer may differ by the rounding its computation can add, as
-  ``float_sum_error_bound`` and ``CubeMedianIndex.cost_error_bound`` state.
+  answer may differ by the rounding its computation can add, as the box-read
+  structure's ``tolerance`` and ``CubeMedianIndex.cost_error_bound`` state.
   Each structure is one ``_STRUCTURES`` entry (options, a build step, a
   handler per verb, optionally a batched handler) run by the one loop in
   :func:`run_script`.  That loop answers each run of reads between
@@ -57,13 +57,11 @@ import numpy as np
 from .cube import (
     MAX_DIMENSIONS,
     OPS,
-    PRODUCT,
     SUM,
     DataCube,
     PrefixCube,
     QueryBox,
     brute_force_range,
-    float_sum_error_bound,
     make_cube,
 )
 from .dynamic import FenwickCube, HybridCube
@@ -260,26 +258,19 @@ class _BoxReads:
 
     cube: DataCube
     op: object  # the aggregate the oracle folds
+    structure: object  # the one that answers, takes ``update`` and states its ``tolerance``
     read: Callable  # QueryBox -> answer
     touched: Callable  # () -> lookups or cells of the last read (per box, after a batch)
     twin: object  # the cube the oracle scans (None for updatable ones without --oracle)
-    structure: object = None  # updatable structures: the one ``update`` goes to
     read_many: Optional[Callable] = None  # static structures: (lo, hi) N x d arrays -> answers
-    mass: float = 0.0  # under --oracle: sum of |cells| and |applied deltas| (see _box_tolerance)
-
-
-def _mass(cube: DataCube) -> float:
-    """Sum of |cells| as a float (inf past the float range)."""
-    with np.errstate(over="ignore"):
-        return float(np.abs(cube.values, dtype=np.float64).sum())
 
 
 def _build_prefix(o, data_path, oracle):
     cube = load_cube(data_path)
     pc = PrefixCube(cube, o["op"])
     return _BoxReads(
-        cube, o["op"], pc.range_aggregate, lambda: pc.lookups_last_query, cube,
-        read_many=pc.range_aggregate_many, mass=_mass(cube) if oracle else 0.0,
+        cube, o["op"], pc, pc.range_aggregate, lambda: pc.lookups_last_query, cube,
+        pc.range_aggregate_many,
     )
 
 
@@ -287,8 +278,7 @@ def _updatable(cube, op, structure, oracle):
     # The oracle scans its own copy of the cube, updated in step with the structure.
     twin = make_cube(cube.dims, cube.values, kind=cube.kind) if oracle else None
     return _BoxReads(
-        cube, op, structure.range_query, lambda: structure.cells_touched_last_query, twin,
-        structure, mass=_mass(cube) if oracle else 0.0,
+        cube, op, structure, structure.range_query, lambda: structure.cells_touched_last_query, twin
     )
 
 
@@ -306,8 +296,8 @@ def _build_rmq(o, data_path, oracle):
     cube = load_cube(data_path)
     table = SparseTable(cube, mode=o["mode"])
     return _BoxReads(
-        cube, OPS[o["mode"]], table.query, lambda: table.lookups_last_query, cube,
-        read_many=table.query_many,
+        cube, OPS[o["mode"]], table, table.query, lambda: table.lookups_last_query, cube,
+        table.query_many,
     )
 
 
@@ -340,22 +330,10 @@ def _build_select(o, data_path, oracle):
 # raises ValueError/IndexError for bad input; the caller adds the line number.
 
 
-def _box_tolerance(s: _BoxReads) -> tuple:
-    """``(rel_tol, abs_tol)`` of the oracle check of a float box read.
-
-    A sum is within :func:`float_sum_error_bound` of the terms the table
-    combined, a product within a relative 1e-9; min and max pick a cell and
-    are exact.  Int answers are compared exactly whatever this returns.
-    """
-    if s.op is SUM:
-        return 0.0, float_sum_error_bound(s.cube.ndim, s.cube.size, s.mass)
-    return (1e-9 if s.op is PRODUCT else 0.0), 0.0
-
-
 def _box_read(s: _BoxReads, cmd, oracle):
     box = _box(cmd, s.cube.dims)
     value = s.read(box)
-    check = (brute_force_range(s.twin, box, s.op), *_box_tolerance(s)) if oracle else ()
+    check = (brute_force_range(s.twin, box, s.op), *s.structure.tolerance) if oracle else ()
     return _Answer((value,), value, s.touched(), *check)
 
 
@@ -391,7 +369,7 @@ def _box_reads(s: _BoxReads, run, oracle):
         return (_Answer((v,), v, touched) for v in values)
     boxes = zip(lo.tolist(), hi.tolist())
     expected = [brute_force_range(s.twin, QueryBox(a, b), s.op) for a, b in boxes]
-    tol = _box_tolerance(s)
+    tol = s.structure.tolerance
     return (_Answer((v,), v, touched, e, *tol) for v, e in zip(values, expected))
 
 
@@ -407,7 +385,6 @@ def _box_update(s: _BoxReads, cmd, oracle):
     s.structure.update(coords, delta)
     if oracle:
         s.twin.values[coords] = s.op.combine(s.twin.values[coords].item(), delta)
-        s.mass += abs(delta)
     return _Answer((), None, s.structure.cells_touched_last_update)
 
 

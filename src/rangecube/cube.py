@@ -34,6 +34,7 @@ __all__ = [
     "make_cube",
     "brute_force_range",
     "float_sum_error_bound",
+    "float_product_error_bound",
 ]
 
 #: Hard ceiling on cube dimensionality; inclusion-exclusion costs 2**d lookups
@@ -322,7 +323,10 @@ def brute_force_range(cube: DataCube, box: QueryBox, op: AggregateOp):
     This is the reference oracle for every range structure in the package; it
     deliberately avoids prefix tables, vectorisation tricks and operator
     inverses.  A float sum or product is folded in exact rationals and rounded
-    once: a float fold can overflow where the answer fits (1e200 * 1e200 * 1e-200).
+    once, to nearest as IEEE arithmetic rounds: a float fold can overflow where
+    the answer fits (1e200 * 1e200 * 1e-200), and an exact value just past the
+    largest float still rounds to it.  Only a value that rounds past the float
+    range scans to ±inf, and a structure must raise on that box.
     """
     box.validate_for(cube.dims)
     values = cube.values
@@ -337,23 +341,71 @@ def brute_force_range(cube: DataCube, box: QueryBox, op: AggregateOp):
 
 
 def _round_once(exact) -> float:
-    """The rational ``exact`` rounded to a float, ±inf past the largest float."""
-    if abs(exact) > _FLOAT_MAX:
+    """The rational ``exact`` rounded to the nearest float, ±inf where it
+    rounds past the largest float (from 2**1024 - 2**970 on)."""
+    try:
+        return float(exact)
+    except OverflowError:
         return math.inf if exact > 0 else -math.inf
-    return float(exact)
 
 
-def float_sum_error_bound(ndim: int, cells: int, mass) -> float:
-    """The absolute error bound of a float box sum read from a table over
-    ``cells`` cells in ``ndim`` dimensions: ``2**(ndim + 2) * cells * eps *
-    mass``, capped at the largest float.
+def float_sum_error_bound(ndim: int, terms: int, mass) -> float:
+    """The absolute error bound of a float box sum read from a table in
+    ``ndim`` dimensions: ``2**(ndim + 2) * terms * eps * mass``, capped at the
+    largest float.
 
-    ``mass`` is the sum of the magnitudes of every term the table combined:
-    the cells it was built from plus every delta applied since.
+    ``terms`` is the table's cells plus twice the updates applied to it, and
+    ``mass`` the sum of the magnitudes of every term the table combined: the
+    cells it was built from plus every delta applied since.  A read folds at
+    most ``2**ndim`` prefix corners.  Each corner carries at most ``cells -
+    1`` roundings from the build and the fold of its table entries, and one
+    per update (an update's index set meets a prefix's in at most one entry);
+    the reference cube rounds once per update more.  Each rounding errs by at
+    most ``eps / 2`` of the magnitudes it combined, at most ``mass``, and the
+    folds of the corners themselves stay within the factor 8 left over.
     """
     if not mass < _FLOAT_MAX:
         return _FLOAT_MAX
-    return min(float(mass) * 2 ** (ndim + 2) * cells * _EPS, _FLOAT_MAX)
+    return min(float(mass) * 2 ** (ndim + 2) * terms * _EPS, _FLOAT_MAX)
+
+
+def float_product_error_bound(ndim: int, terms: int) -> float:
+    """The relative error bound of a float box product read from a table in
+    ``ndim`` dimensions: ``γ(n) = n·u / (1 - n·u)`` with ``u = eps / 2`` and
+    ``n = 2**ndim * terms + 1``, capped at 1.
+
+    ``terms`` is the table's cells plus twice the updates applied to it.  A
+    product of exact factors rounded ``n`` times, each rounding a factor
+    ``1 + δ`` or its inverse with ``|δ| <= u``, is within ``γ(n)`` of the
+    exact product (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2002, Lemma 3.1).  A read folds at most ``2**ndim`` prefix corners, each
+    carrying at most ``cells - 1`` roundings from the build and the fold of
+    its table entries and one per update (an update's index set meets a
+    prefix's in at most one entry); folding the corners and the one division
+    add at most ``2**ndim - 1``, and the reference cube rounds once per
+    update.  The bound assumes no rounding lands below the normal floats,
+    where a product loses relative accuracy.
+    """
+    rounded = (2**ndim * terms + 1) * _EPS / 2
+    return rounded / (1 - rounded) if rounded < 0.5 else 1.0
+
+
+def _rounding_tolerance(op: AggregateOp, table: np.ndarray, terms: int, mass) -> tuple:
+    """``(rel_tol, abs_tol)`` for :func:`math.isclose` of a box read from
+    ``table``: exact for int tables, :func:`float_sum_error_bound` absolute
+    for a float sum and :func:`float_product_error_bound` relative for a
+    float product."""
+    if table.dtype.kind != "f":
+        return 0.0, 0.0
+    if op.name == "sum":
+        return 0.0, float_sum_error_bound(table.ndim, terms, mass)
+    return float_product_error_bound(table.ndim, terms), 0.0
+
+
+def _float_mass(values: np.ndarray) -> float:
+    """Sum of ``|values|`` as a float, inf past the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.abs(values).sum())
 
 
 _OVERFLOW_RISK = "overflow risk: |value| * cell count must stay below 2**62 for sum cubes"
@@ -405,6 +457,21 @@ def _updated_cell(op: AggregateOp, values: np.ndarray, coords: tuple, delta):
     if op.name == "product" and value == 0:
         raise ValueError(f"product update would set cell {coords} to zero")
     return value
+
+
+def _settable_value(op: AggregateOp, values: np.ndarray, value):
+    """``value`` as a cell of ``values`` takes it, rejected where no cell may
+    hold it: an int cube's value is an integer (returned as a Python int), a
+    float cube's finite and a product cell's nonzero.  The int bounds are the
+    ones an update checks, as the cell it computes is then ``value`` itself."""
+    kind = values.dtype.kind
+    if kind == "i" and not isinstance(value, (int, np.integer)):
+        raise ValueError(f"value {value!r} is not an integer; int cubes take int values")
+    if kind == "f" and not abs(value) <= _FLOAT_MAX:
+        raise ValueError(f"value {value} is not a finite float")
+    if op.name == "product" and value == 0:
+        raise ValueError("product cells cannot be set to zero")
+    return int(value) if kind == "i" else value
 
 
 _NO_ERRSTATE = contextlib.nullcontext()
@@ -486,8 +553,8 @@ class PrefixCube:
     Cell ``b`` of the table holds the aggregate over the prefix subcube
     ``[0..b[0]] x ... x [0..b[d-1]]``.  Arbitrary boxes are recovered by
     inclusion-exclusion over the ``2**d`` prefix corners, which requires the
-    operator to be invertible.  A float sum is within
-    :func:`float_sum_error_bound` of the exact one, its mass being Σ|cells|.
+    operator to be invertible.  A float answer is within :attr:`tolerance`
+    of the exact aggregate of the box.
     """
 
     def __init__(self, cube: DataCube, op: AggregateOp):
@@ -495,8 +562,18 @@ class PrefixCube:
         self.op = op
         self.dims = cube.dims
         self.table = _prefix_table(cube.values, op)
+        # Only a float sum's bound reads the cells' magnitudes.
+        self._mass = _float_mass(cube.values) if op.name == "sum" and cube.kind == "float" else 0.0
         #: Prefix lookups made by the most recent range_aggregate call.
         self.lookups_last_query = 0
+
+    @property
+    def tolerance(self) -> tuple:
+        """``(rel_tol, abs_tol)`` for :func:`math.isclose` of a box answer
+        against the exact one: ``(0.0, 0.0)`` for an int cube, the
+        :func:`float_sum_error_bound` of Σ|cells| for a float sum and the
+        :func:`float_product_error_bound` for a float product."""
+        return _rounding_tolerance(self.op, self.table, self.table.size, self._mass)
 
     def range_aggregate(self, box: QueryBox):
         box.validate_for(self.dims)

@@ -23,7 +23,8 @@ single fancy-index operations.  A box query builds each axis's arrays once,
 for ``hi`` and ``lo - 1``, and reuses them across its ``2**d`` corners.
 Both structures co-maintain a plain shadow copy of the represented cube,
 which makes "set cell to u" derivable from "combine cell with delta" and
-provides cheap point reads.
+provides cheap point reads.  A float table also counts the updates applied
+to it and the magnitudes they brought, which its ``tolerance`` reads.
 
 Min/max are not invertible and are rejected here; use the static structures.
 Builds and updates keep every cell in the domain the cube module's table
@@ -46,7 +47,10 @@ from .cube import (
     _check_fold,
     _check_table_domain,
     _inclusion_exclusion,
+    _float_mass,
     _quiet,
+    _rounding_tolerance,
+    _settable_value,
     _updated_cell,
 )
 
@@ -174,15 +178,34 @@ class _AxisProductTable:
         self.shadow = cube.values.copy()
         self.cells_touched_last_update = 0
         self.cells_touched_last_query = 0
+        # What the tolerance of a float table reads: Σ|cells| + Σ|deltas| and
+        # the updates applied.  An int table counts nothing.
+        self._float = table.dtype.kind == "f"
+        self._mass = _float_mass(cube.values) if self._float and op.name == "sum" else 0.0
+        self._updates = 0
+
+    @property
+    def tolerance(self) -> tuple:
+        """``(rel_tol, abs_tol)`` for :func:`math.isclose` of a box answer
+        against the exact aggregate of the shadow: ``(0.0, 0.0)`` for an int
+        cube, the :func:`float_sum_error_bound` of Σ|initial cells| +
+        Σ|applied deltas| for a float sum and the
+        :func:`float_product_error_bound` for a float product, each counting
+        the updates applied so far."""
+        return _rounding_tolerance(self.op, self.table, self.shadow.size + 2 * self._updates, self._mass)
 
     def point_read(self, coords):
         """Current value of one represented cell (served by the shadow)."""
         return self.shadow[_check_coords(coords, self.dims)].item()
 
     def set_value(self, coords, value):
-        """Set a cell to ``value``: shadow read, inverse, then a combine update."""
-        old = self.point_read(coords)
-        self.update(coords, self.op.inverse(value, old))
+        """Set a cell to ``value``: the table is updated by the inverse of the
+        old value and ``value``, and the shadow takes ``value`` itself, which a
+        float combine of the old value and that delta may miss by a rounding."""
+        coords = _check_coords(coords, self.dims)
+        value = _settable_value(self.op, self.shadow, value)
+        self.update(coords, self.op.inverse(value, self.shadow[coords].item()))
+        self.shadow[coords] = value
 
     def update(self, coords, delta):
         """Combine the represented cell at ``coords`` with ``delta``."""
@@ -194,6 +217,9 @@ class _AxisProductTable:
             self.table[idx] = self.op.ufunc(self.table[idx], delta)
         self.cells_touched_last_update = math.prod(len(a) for a in axes)
         self.shadow[coords] = value
+        if self._float:
+            self._mass += abs(delta)
+            self._updates += 1
 
     def _index(self, axes) -> tuple:
         """The fancy index of the Cartesian product of per-axis position lists."""
@@ -251,8 +277,8 @@ class FenwickCube(_AxisProductTable):
 
     The tree array has the cube's shape; internally indices are 1-based and a
     node at index ``i`` covers the ``i & -i`` trailing entries, independently
-    in every dimension.  A float sum is within :func:`float_sum_error_bound`
-    of the exact one, its mass being Σ|initial cells| + Σ|applied deltas|.
+    in every dimension.  A float answer is within :attr:`tolerance` of the
+    exact aggregate of the box.
     """
 
     def __init__(self, cube: DataCube, op: AggregateOp):
@@ -271,9 +297,8 @@ class HybridCube(_AxisProductTable):
     ``q = d`` degenerates to constant-size updates with large queries,
     ``q = 0`` to a single block partition over all dimensions (constant-size
     queries, large updates).  Defaults ``k = ceil(sqrt(n))`` (n = largest
-    extent) and ``q = d // 2`` balance the two.  A float sum is within
-    :func:`float_sum_error_bound` of the exact one, its mass being Σ|initial
-    cells| + Σ|applied deltas|.
+    extent) and ``q = d // 2`` balance the two.  A float answer is within
+    :attr:`tolerance` of the exact aggregate of the box.
     """
 
     def __init__(

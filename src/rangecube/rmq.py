@@ -100,6 +100,9 @@ class SparseTable:
     sorted distinct values and every level of ``tables`` the ranks into it.
     """
 
+    #: ``(rel_tol, abs_tol)`` of an answer: a min or max is one of the cells.
+    tolerance = (0.0, 0.0)
+
     def __init__(
         self,
         cube: DataCube,

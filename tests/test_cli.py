@@ -398,8 +398,9 @@ class TestBatchedReads:
         [("prefix", "range_aggregate_many"), ("fenwick", "range_query"), ("hybrid", "range_query")],
     )
     def test_float_sum_oracle_bound(self, files, capsys, monkeypatch, struct, read):
-        """A float sum passes the oracle within 2**(d+2) * cells * eps * mass
-        (about 53.3 for these cells) of the scan, and fails outside it."""
+        """A float sum passes the oracle within the structure's tolerance,
+        2**(d+2) * cells * eps * mass (about 53.3 for these cells), of the
+        scan, and fails outside it."""
         from rangecube import cube as cube_module, dynamic
 
         cls = {"prefix": cube_module.PrefixCube}.get(struct, dynamic._AxisProductTable)

@@ -50,6 +50,7 @@ CUBES = {
     "float_cancel": "1\n3\nfloat\n1e16 1.0 1.0\n",
     "float_fold_overflow": "1\n4\nfloat\n-1e308 1e308 1e308 -1e308\n",
     "float_product_fold_overflow": "1\n4\nfloat\n1e-200 1e200 1e200 1e-200\n",
+    "float_max_tiny": "1\n2\nfloat\n1.7976931348623157e+308 5e-324\n",
     "float_weights1": "1\n4\nfloat\n0.5 1.5 0.25 2.0\n",
     "float_weights2": "2\n3 3\nfloat\n0.3 1.7 0.2\n2.5 0.1 0.9\n1.1 0.6 3.3\n",
     "zero_box": "2\n2 2\nint\n0 0 0 1\n",
@@ -112,6 +113,10 @@ CASES = [
     ("fenwick-sum-float-cancel", "fenwick", "float_cancel", "query 1 2\nupdate 2 0.5\nquery 1 2\n", True),
     ("prefix-sum-float-fold-overflow", "prefix", "float_fold_overflow", "query 1 3\nquery 0 3\n", True),
     ("prefix-product-float-fold-overflow", "prefix:op=product", "float_product_fold_overflow", "query 1 3\nquery 0 3\n", True),
+    # the exact sum lies past the largest float but rounds to it, as every structure does
+    ("prefix-sum-float-max", "prefix", "float_max_tiny", "query 0 1\nquery 1 1\n", True),
+    ("fenwick-sum-float-max", "fenwick", "float_max_tiny", "query 0 1\nupdate 1 5e-324\nquery 0 1\n", True),
+    ("hybrid-sum-float-max", "hybrid", "float_max_tiny", "query 0 1\nquery 1 1\n", True),
     ("median-line-float", "median:scales={float_line4}", "float_weights1", "median 0 3\nmedian 1 2\ncube-median 0 3\n", True),
     ("median-cube-float", "median:scales={float_grid3}", "float_weights2", "cube-median 0 2 0 2\ncube-median 1 2 0 1\n", True),
     ("select-sum-float-eps", "select", "float_arrays", "select 4 1 1e-9\nselect 2 0 0.5\nagg-select 3 1 1e-9\n", True),

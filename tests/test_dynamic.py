@@ -15,6 +15,7 @@ from rangecube import (
     SUM,
     XOR,
     brute_force_range,
+    float_sum_error_bound,
     make_cube,
 )
 from rangecube.dynamic import FenwickCube, HybridCube
@@ -326,6 +327,50 @@ class TestCrossStructure:
         assert (structure.table == before).all()
         assert structure.point_read([0]) == edge
         assert structure.range_query(QueryBox([0], [3])) == edge - edge + 3 + 4
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    @pytest.mark.parametrize("op", [SUM, PRODUCT], ids=["sum", "product"])
+    def test_float_set_value_is_exact(self, name, op):
+        """The shadow holds the value set, not old ⊕ (value ⊖ old); reads stay
+        within the structure's tolerance, which counts each set value."""
+        rng = random.Random(11)
+        dims = (3, 4)
+        cube = make_cube(dims, [rng.uniform(0.1, 10) for _ in range(math.prod(dims))])
+        structure = STRUCTURES[name](cube, op)
+        for _ in range(300):
+            coords = tuple(rng.randrange(m) for m in dims)
+            value = rng.uniform(0.1, 10)
+            structure.set_value(coords, value)
+            assert structure.point_read(coords) == value
+        shadow = make_cube(dims, structure.shadow)
+        rel_tol, abs_tol = structure.tolerance
+        for box in (QueryBox.full(dims), QueryBox([1, 1], [2, 3]), QueryBox([2, 0], [2, 2])):
+            expected = brute_force_range(shadow, box, op)
+            assert math.isclose(structure.range_query(box), expected, rel_tol=rel_tol, abs_tol=abs_tol)
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    def test_float_set_value_past_cancellation(self, name):
+        # At the parent the shadow read 0.0: 1e16 + (1.0 - 1e16) rounds to 0.
+        structure = STRUCTURES[name](make_cube([2], [1e16, 2.0]), SUM)
+        structure.set_value((0,), 1.0)
+        assert structure.point_read((0,)) == 1.0
+        assert abs(structure.range_query(QueryBox([0], [1])) - 3.0) <= structure.tolerance[1]
+        with pytest.raises(ValueError, match="value 1.5 is not an integer"):
+            STRUCTURES[name](make_cube([2], [1, 2]), XOR).set_value((0,), 1.5)
+        with pytest.raises(ValueError, match="cannot be set to zero"):
+            STRUCTURES[name](make_cube([2], [1.0, 2.0]), PRODUCT).set_value((0,), 0.0)
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    def test_float_sum_tolerance_counts_updates(self, name):
+        # Each +1.0 rounds away in the node holding 1e16 (ties to even), so the
+        # box [1, 1] reads 0.0 where the cell holds 100.0: past a bound of
+        # Σ|terms| alone (35.5), within one that counts the updates too.
+        structure = STRUCTURES[name](make_cube([2], [1e16, 0.0]), SUM)
+        for _ in range(100):
+            structure.update((1,), 1.0)
+        got = structure.range_query(QueryBox([1], [1]))
+        assert (got, structure.point_read((1,))) == (0.0, 100.0)
+        assert float_sum_error_bound(1, 2, 1e16 + 100) < 100.0 <= structure.tolerance[1]
 
     def test_random_scripts_agree(self):
         """Fenwick, hybrid variants and a rebuilt prefix cube answer identically."""

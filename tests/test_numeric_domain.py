@@ -25,6 +25,7 @@ from rangecube import (
     brute_force_median,
     brute_force_range,
     cube_range_weighted_median,
+    float_product_error_bound,
     float_sum_error_bound,
     make_cube,
 )
@@ -227,6 +228,12 @@ def test_float_sum_error_bound():
         assert float_sum_error_bound(6, 10**6, mass) == FLOAT_MAX
 
 
+def test_float_product_error_bound():
+    n = 4 * 5 + 1
+    assert float_product_error_bound(2, 5) == n * EPS / 2 / (1 - n * EPS / 2)
+    assert float_product_error_bound(6, 2**46) == 1.0
+
+
 # -- edge values against the brute-force scan ---------------------------------
 
 
@@ -234,7 +241,7 @@ def int_edges(cells: int) -> list:
     return [0, 1, -1, 2**62 // cells, -(2**62 // cells), 2**62, -(2**62), -(2**63), 2**63 - 1]
 
 
-FINITE_FLOAT_EDGES = [-0.0, 5e-324, 1e308, -1e308, 1e-200]
+FINITE_FLOAT_EDGES = [-0.0, 5e-324, 1e308, -1e308, 1e-200, FLOAT_MAX]
 FLOAT_EDGES = FINITE_FLOAT_EDGES + [math.nan, math.inf, -math.inf]
 
 #: Words that name the cause of each rejection this test may meet.
@@ -281,26 +288,22 @@ def edge_cases(draw):
     return dims, kind, values, boxes, updates
 
 
-def agrees(got, cube, box, op, mass) -> bool:
-    """``got`` equals the scan: exactly for int cubes, within the rounding
-    bound for floats.
-
-    A float sum's bound scales with ``mass``, the magnitude of every term the
-    table combined: its initial cells plus every delta applied since.  A sum
-    or product past the float range scans to ±inf: that read must raise.
-    """
-    expected = brute_force_range(cube, box, op)
+def agrees(got, cube, box, structure) -> bool:
+    """``got`` equals the scan: exactly for int cubes, within the structure's
+    ``tolerance`` for floats.  Where the twin rounds to ±inf, the read must
+    raise instead."""
+    expected = brute_force_range(cube, box, structure.op)
     if cube.kind == "int":
         return got == expected
-    tol = float_sum_error_bound(cube.ndim, cube.size, mass) if op is SUM else 1e-300
-    return math.isfinite(expected) and math.isclose(got, expected, rel_tol=1e-9, abs_tol=tol)
+    rel_tol, abs_tol = structure.tolerance
+    return math.isfinite(expected) and math.isclose(got, expected, rel_tol=rel_tol, abs_tol=abs_tol)
 
 
-def check_reads(structure, cube, boxes, op, mass):
+def check_reads(structure, cube, boxes):
     answers = [outcome(lambda b=b: read(structure, b)) for b in boxes]
     for box, got in zip(boxes, answers):
         if not isinstance(got, ValueError):
-            assert agrees(got, cube, box, op, mass), (box, got)
+            assert agrees(got, cube, box, structure), (box, got)
     return answers
 
 
@@ -319,12 +322,11 @@ def test_edge_values_raise_or_match_brute_force(case):
         return
     lo = np.array([b.lo for b in boxes])
     hi = np.array([b.hi for b in boxes])
-    initial = sum(abs(Fraction(v)) for v in cube.flat())
     for op in (SUM, XOR, PRODUCT):
         pc = outcome(lambda: PrefixCube(cube, op))
         if isinstance(pc, ValueError):
             continue
-        scalar = check_reads(pc, cube, boxes, op, initial)
+        scalar = check_reads(pc, cube, boxes)
         batch = outcome(lambda: pc.range_aggregate_many(lo, hi))
         if isinstance(batch, ValueError):
             assert any(isinstance(a, ValueError) for a in scalar)
@@ -336,15 +338,13 @@ def test_edge_values_raise_or_match_brute_force(case):
             if isinstance(structure, ValueError):
                 continue
             twin = make_cube(dims, cube.values)
-            mass = initial
             for coords, delta in updates:
                 if isinstance(outcome(lambda: structure.update(coords, delta)), ValueError):
                     assert structure.point_read(coords) == twin.cell(coords)
                 else:
                     twin.values[coords] = op.combine(twin.cell(coords), delta)
-                    mass += abs(Fraction(delta))
             assert (structure.shadow == twin.values).all()
-            check_reads(structure, twin, boxes, op, mass)
+            check_reads(structure, twin, boxes)
     for mode, op in (("min", MIN), ("max", MAX)):
         table = SparseTable(cube, mode=mode)
         for box, got in zip(boxes, table.query_many(lo, hi).tolist()):
