@@ -90,6 +90,7 @@ _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 _EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 #: numpy dtype of each cube kind.
@@ -383,8 +384,14 @@ def float_product_error_bound(ndim: int, terms: int) -> float:
     its table entries and one per update (an update's index set meets a
     prefix's in at most one entry); folding the corners and the one division
     add at most ``2**ndim - 1``, and the reference cube rounds once per
-    update.  The bound assumes no rounding lands below the normal floats,
-    where a product loses relative accuracy.
+    update.
+
+    Below the normal floats a product loses relative accuracy, so a float
+    product table rejects, as ``product underflow``, a table entry below
+    them at build or on update, and a read rejects a fold or an answer below
+    them.  What is still assumed is that no product a read forms and does
+    not check lands there: the running product inside one Fenwick or hybrid
+    block read, and the running fold of a box's corners.
     """
     rounded = (2**ndim * terms + 1) * _EPS / 2
     return rounded / (1 - rounded) if rounded < 0.5 else 1.0
@@ -459,11 +466,15 @@ def _updated_cell(op: AggregateOp, values: np.ndarray, coords: tuple, delta):
     return value
 
 
-def _settable_value(op: AggregateOp, values: np.ndarray, value):
-    """``value`` as a cell of ``values`` takes it, rejected where no cell may
-    hold it: an int cube's value is an integer (returned as a Python int), a
-    float cube's finite and a product cell's nonzero.  The int bounds are the
-    ones an update checks, as the cell it computes is then ``value`` itself."""
+def _settable_value(op: AggregateOp, values: np.ndarray, coords: tuple, value) -> tuple:
+    """``value`` as cell ``coords`` of ``values`` takes it, and the delta
+    that sets it there, rejected where no cell may hold the value or no table
+    can take the delta.  An int cube's value is an integer (returned as a
+    Python int), a float cube's finite and a product cell's nonzero.  A float
+    delta must be finite, and a product delta normal: a quotient rounded
+    below the normal floats has lost its relative accuracy.  The int bounds
+    are the ones an update checks, as the cell it computes is then ``value``
+    itself."""
     kind = values.dtype.kind
     if kind == "i" and not isinstance(value, (int, np.integer)):
         raise ValueError(f"value {value!r} is not an integer; int cubes take int values")
@@ -471,7 +482,19 @@ def _settable_value(op: AggregateOp, values: np.ndarray, value):
         raise ValueError(f"value {value} is not a finite float")
     if op.name == "product" and value == 0:
         raise ValueError("product cells cannot be set to zero")
-    return int(value) if kind == "i" else value
+    value = int(value) if kind == "i" else value
+    old = values[coords].item()
+    delta = op.inverse(value, old)
+    if kind == "f":
+        taken = (
+            f"setting cell {coords} to {value!r} takes the delta "
+            f"{value!r} {'/' if op.name == 'product' else '-'} {old!r}, which rounds to {delta!r}"
+        )
+        if not abs(delta) <= _FLOAT_MAX:
+            raise ValueError(f"float overflow: {taken}")
+        if op.name == "product" and abs(delta) < _TINY:
+            raise ValueError(f"product underflow: {taken}, below the normal floats")
+    return value, delta
 
 
 _NO_ERRSTATE = contextlib.nullcontext()
@@ -492,7 +515,10 @@ def _prefix_table(values: np.ndarray, op: AggregateOp) -> np.ndarray:
 
 
 #: For each dimensionality d, one (axes read at ``lo - 1``, enters with a plus
-#: sign) pair per box corner.
+#: sign) pair per box corner, corner ``mask`` reading ``lo - 1`` on the axes
+#: of its set bits.  The batched reads gather one corner of every box at a
+#: time in this order; a scalar read takes the same corners from
+#: :func:`_corners`, empty prefixes left out.
 _CORNERS = tuple(
     tuple(
         (tuple(bool(mask >> j & 1) for j in range(d)), bin(mask).count("1") % 2 == 0)
@@ -501,50 +527,85 @@ _CORNERS = tuple(
     for d in range(MAX_DIMENSIONS + 1)
 )
 
+#: Whether the k-th corner :func:`_corners` yields enters with a plus sign.
+_EVEN = tuple(even for _, even in _CORNERS[MAX_DIMENSIONS])
 
-_UNDERFLOW = "product underflow: a prefix product rounded to zero"
+_REVERSED = operator.itemgetter(slice(None, None, -1))
+
+
+_UNDERFLOW = "product underflow: a prefix product or the answer is below the normal floats"
 _OVERFLOW = "float overflow: a prefix aggregate or the answer is not finite"
+
+
+def _check_normal_products(entries: np.ndarray, what: str) -> None:
+    """Reject float product table ``entries`` that hold one below the normal
+    floats (zero included), where a product loses relative accuracy and
+    :func:`float_product_error_bound` stops holding.  Callers pass product
+    tables only, so no other table pays for the pass."""
+    low = np.abs(entries) < _TINY
+    if low.any():
+        raise ValueError(
+            f"product underflow: {what} a table entry of {entries[low][0].item()!r}, "
+            "below the normal floats"
+        )
 
 
 def _check_fold(op: AggregateOp, *folds) -> None:
     """Reject a fold (a number, or an array of them) that does not hold the
-    exact aggregate it stands for.  Product tables hold no zero cell, so a
-    zero product fold means a prefix product underflowed; cells are finite,
-    so a non-finite float fold means a prefix overflowed."""
+    aggregate it stands for within the structure's tolerance.  A product fold
+    below the normal floats underflowed (product tables hold no zero cell);
+    cells are finite, so a non-finite float fold means a prefix overflowed."""
     if isinstance(folds[0], np.ndarray):
-        zero = not all(fold.all() for fold in folds)
+        low = op.name == "product" and any((np.abs(fold) < _TINY).any() for fold in folds)
         finite = all(np.isfinite(fold).all() for fold in folds)
     else:
-        zero, finite = 0 in folds, all(map(math.isfinite, folds))
-    if op.name == "product" and zero:
+        low = op.name == "product" and min(map(abs, folds)) < _TINY
+        finite = all(map(math.isfinite, folds))
+    if low:
         raise ValueError(_UNDERFLOW)
     if not finite:
         raise ValueError(_OVERFLOW)
 
 
-def _inclusion_exclusion(op: AggregateOp, lo: Sequence[int], hi: Sequence[int], lookup):
-    """Aggregate over the box ``[lo, hi]`` from its ``2**d`` prefix corners.
+def _corners(picks: list):
+    """The non-empty corners of a box ``[lo, hi]``, in ``_CORNERS`` order.
 
-    ``lookup(corner)`` returns the prefix aggregate ending at ``corner``; it is
-    called only for corners with no ``-1`` coordinate (an empty prefix, whose
-    value is the identity).  The even- and odd-parity corners are folded
-    separately and joined by one inverse; a fold that underflowed to zero
-    cannot be divided back out, and one that overflowed cannot be subtracted.
+    ``picks[j]`` is axis j's pair (what reads ``hi[j]``, what reads
+    ``lo[j] - 1``), or only the first where ``lo[j]`` is 0: a corner reading
+    ``-1`` is an empty prefix, whose value is the identity.  Each corner is
+    the tuple of one pick per axis.  Axis 0 varies fastest, so the ``lo - 1``
+    picks of the k-th corner are the set bits of k, counted over the axes
+    that have one, and it enters with a plus sign where ``_EVEN[k]``.
+    """
+    return map(_REVERSED, itertools.product(*reversed(picks)))
+
+
+def _fold_corners(op: AggregateOp, values):
+    """Aggregate over a box from the prefix values at its :func:`_corners`.
+
+    The even- and odd-parity corners are folded separately and joined by one
+    inverse; a fold that underflowed cannot be divided back out, and one that
+    overflowed cannot be subtracted.
     """
     keep = drop = op.identity
-    for low, even in _CORNERS[len(lo)]:
-        corner = tuple(a - 1 if x else b for a, b, x in zip(lo, hi, low))
-        if -1 in corner:
-            continue
+    for value, even in zip(values, _EVEN):
         if even:
-            keep = op.combine(keep, lookup(corner))
+            keep = op.combine(keep, value)
         else:
-            drop = op.combine(drop, lookup(corner))
+            drop = op.combine(drop, value)
     _check_fold(op, keep, drop)
     answer = op.inverse(keep, drop)
     if isinstance(answer, float):  # an int answer is exact once its folds are
         _check_fold(op, answer)
     return answer
+
+
+def _prefix_box(op: AggregateOp, table: np.ndarray, lo, hi):
+    """Aggregate over the box ``[lo, hi]`` of a prefix table, one
+    ``table.item`` read per non-empty corner.  (A corner tuple reads as fast
+    as a flat offset, which would also need the strides and a sum.)"""
+    picks = [(b, a - 1) if a else (b,) for a, b in zip(lo, hi)]
+    return _fold_corners(op, map(table.item, _corners(picks)))
 
 
 class PrefixCube:
@@ -562,6 +623,8 @@ class PrefixCube:
         self.op = op
         self.dims = cube.dims
         self.table = _prefix_table(cube.values, op)
+        if op.name == "product":
+            _check_normal_products(self.table, "the build leaves")
         # Only a float sum's bound reads the cells' magnitudes.
         self._mass = _float_mass(cube.values) if op.name == "sum" and cube.kind == "float" else 0.0
         #: Prefix lookups made by the most recent range_aggregate call.
@@ -577,8 +640,7 @@ class PrefixCube:
 
     def range_aggregate(self, box: QueryBox):
         box.validate_for(self.dims)
-        table = self.table
-        value = _inclusion_exclusion(self.op, box.lo, box.hi, lambda c: table[c].item())
+        value = _prefix_box(self.op, self.table, box.lo, box.hi)
         # Empty-prefix corners count as lookups too.
         self.lookups_last_query = 1 << len(self.dims)
         return value

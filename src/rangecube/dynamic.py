@@ -19,8 +19,11 @@ The table is built by one numpy transform per axis.  An update or a prefix
 query asks each axis's scheme for an index list and touches the Cartesian
 product of those lists: each list becomes an ``intp`` array shaped to
 broadcast along its axis (one ``np.ix_`` factor), so reads and writes are
-single fancy-index operations.  A box query builds each axis's arrays once,
-for ``hi`` and ``lo - 1``, and reuses them across its ``2**d`` corners.
+single fancy-index operations.  A box query asks each axis for its lists at
+``hi`` and ``lo - 1`` once and takes its non-empty corners from the corner
+enumeration every inclusion-exclusion read in this package shares: each
+corner is one prefix read, as :meth:`prefix_query` makes it, and one fold
+joins the corners.
 Both structures co-maintain a plain shadow copy of the represented cube,
 which makes "set cell to u" derivable from "combine cell with delta" and
 provides cheap point reads.  A float table also counts the updates applied
@@ -29,8 +32,9 @@ to it and the magnitudes they brought, which its ``tolerance`` reads.
 Min/max are not invertible and are rejected here; use the static structures.
 Builds and updates keep every cell in the domain the cube module's table
 check admits: int sum cells keep ``|value| * cells`` below ``2**62``, product
-needs a float cube with no zero cell, and float cells stay finite.  A float
-table whose prefix overflowed is reported when a query reads it.
+needs a float cube with no zero cell and no table entry below the normal
+floats, and float cells stay finite.  A float table whose prefix overflowed
+is reported when a query reads it.
 """
 
 from __future__ import annotations
@@ -45,9 +49,11 @@ from .cube import (
     DataCube,
     QueryBox,
     _check_fold,
+    _check_normal_products,
     _check_table_domain,
-    _inclusion_exclusion,
+    _corners,
     _float_mass,
+    _fold_corners,
     _quiet,
     _rounding_tolerance,
     _settable_value,
@@ -170,10 +176,14 @@ class _AxisProductTable:
         self.op = op
         self.dims = cube.dims
         self._schemes = schemes
+        # The shape that broadcasts a position list along each axis.
+        self._shapes = tuple((-1,) + (1,) * (len(self.dims) - 1 - j) for j in range(len(self.dims)))
         table = cube.values.copy()
         with _quiet(table):
             for axis, scheme in enumerate(schemes):
                 table = scheme.build(table, axis, op)
+        if op.name == "product":
+            _check_normal_products(table, "the build leaves")
         self.table = table
         self.shadow = cube.values.copy()
         self.cells_touched_last_update = 0
@@ -203,8 +213,8 @@ class _AxisProductTable:
         old value and ``value``, and the shadow takes ``value`` itself, which a
         float combine of the old value and that delta may miss by a rounding."""
         coords = _check_coords(coords, self.dims)
-        value = _settable_value(self.op, self.shadow, value)
-        self.update(coords, self.op.inverse(value, self.shadow[coords].item()))
+        value, delta = _settable_value(self.op, self.shadow, coords, value)
+        self.update(coords, delta)
         self.shadow[coords] = value
 
     def update(self, coords, delta):
@@ -214,7 +224,11 @@ class _AxisProductTable:
         axes = [s.update_indices(c) for s, c in zip(self._schemes, coords)]
         idx = self._index(axes)
         with _quiet(self.table):
-            self.table[idx] = self.op.ufunc(self.table[idx], delta)
+            block = self.op.ufunc(self.table[idx], delta)
+        if self.op.name == "product":
+            # Checked before the write, so a rejected update leaves the table as it was.
+            _check_normal_products(block, f"updating cell {coords} by {delta!r} would leave")
+        self.table[idx] = block
         self.cells_touched_last_update = math.prod(len(a) for a in axes)
         self.shadow[coords] = value
         if self._float:
@@ -222,24 +236,22 @@ class _AxisProductTable:
             self._updates += 1
 
     def _index(self, axes) -> tuple:
-        """The fancy index of the Cartesian product of per-axis position lists."""
-        return tuple(self._axis_index(j, positions) for j, positions in enumerate(axes))
-
-    def _axis_index(self, axis: int, positions) -> np.ndarray:
-        """``positions`` as an ``intp`` array broadcasting along ``axis``."""
-        shape = (-1,) + (1,) * (len(self.dims) - 1 - axis)
-        return np.array(positions, dtype=np.intp).reshape(shape)
+        """The fancy index of the Cartesian product of per-axis position
+        lists: each list as an ``intp`` array broadcasting along its axis."""
+        return tuple(np.array(p, dtype=np.intp).reshape(shape) for p, shape in zip(axes, self._shapes))
 
     def prefix_query(self, b):
         """Aggregate over the prefix box ``[0..b[0]] x ... x [0..b[d-1]]``."""
         b = _check_coords(b, self.dims)
         with _quiet(self.table):
-            value = self._prefix(self._index(s.query_indices(c) for s, c in zip(self._schemes, b)))
+            value = self._prefix([s.query_indices(c) for s, c in zip(self._schemes, b)])
         _check_fold(self.op, value)
         return value
 
-    def _prefix(self, index: tuple):
-        block = self.table[index]
+    def _prefix(self, lists):
+        """The fold of the table block that is the Cartesian product of the
+        per-axis position ``lists``: one prefix read."""
+        block = self.table[self._index(lists)]
         self.cells_touched_last_query = block.size
         return self.op.ufunc.reduce(block, axis=None).item()
 
@@ -250,24 +262,17 @@ class _AxisProductTable:
         count of any one constituent prefix query.
         """
         box.validate_for(self.dims)
-        # Each axis's index arrays for hi and lo - 1 (None: empty prefix).
-        schemes = self._schemes
-        high = self._index(s.query_indices(c) for s, c in zip(schemes, box.hi))
-        low = [
-            self._axis_index(j, s.query_indices(c - 1)) if c else None
-            for j, (s, c) in enumerate(zip(schemes, box.lo))
+        # Each axis's position lists for hi and, unless lo is 0, lo - 1.
+        picks = [
+            (s.query_indices(b), s.query_indices(a - 1)) if a else (s.query_indices(b),)
+            for s, a, b in zip(self._schemes, box.lo, box.hi)
         ]
-        touched = 0
-
-        def lookup(corner):
-            nonlocal touched
-            index = tuple(h if c == b else l for c, b, h, l in zip(corner, box.hi, high, low))
-            value = self._prefix(index)
-            touched = max(touched, self.cells_touched_last_query)
-            return value
-
+        values, touched = [], 0
         with _quiet(self.table):
-            value = _inclusion_exclusion(self.op, box.lo, box.hi, lookup)
+            for corner in _corners(picks):
+                values.append(self._prefix(corner))
+                touched = max(touched, self.cells_touched_last_query)
+            value = _fold_corners(self.op, values)
         self.cells_touched_last_query = touched
         return value
 

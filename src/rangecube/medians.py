@@ -40,7 +40,7 @@ from .cube import (
     DataCube,
     QueryBox,
     _check_sum_bound,
-    _inclusion_exclusion,
+    _prefix_box,
     _prefix_table,
     _quiet,
     _round_once,
@@ -553,7 +553,7 @@ class CubeMedianIndex:
         self.rangesum_probes_last_query += 1
         if any(a > b for a, b in zip(lo, hi)):
             return 0
-        return _inclusion_exclusion(SUM, lo, hi, lambda c: table[c].item())
+        return _prefix_box(SUM, table, lo, hi)
 
 
 @dataclass(frozen=True)

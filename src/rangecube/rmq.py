@@ -198,6 +198,8 @@ class SparseTable:
     # -- queries -----------------------------------------------------------
 
     def _check_shape(self, box: QueryBox):
+        """Raise the ValueError naming the first dimension whose box length
+        breaks the shape constraint."""
         g = self.grouping
         lengths = box.lengths
         for gid in range(g.ngroups):
@@ -208,30 +210,29 @@ class SparseTable:
                         f"box length {lengths[j]} in dimension {j} violates the shape "
                         f"constraint stretch[{j}] * base length = {g.stretch[j]} * {base_len}"
                     )
-        return lengths
 
     def query(self, box: QueryBox):
         """Min/max over a shape-constrained box from ``2**d`` block lookups.
 
+        The level tuple comes from the base dimensions' lengths, and the
+        anchors are every mix of ``lo[j]`` and ``hi[j] + 1 - block[j]``.
         Equal values share one rank, and ``np.unique`` merges -0.0 with 0.0,
         so a zero answer carries the sign of the zero ``distinct`` kept, not
         that of the block picked first.
         """
         box.validate_for(self.dims)
-        lengths = self._check_shape(box)
         g = self.grouping
-        kt = tuple(self.log2floor[lengths[g.base_dim[gid]]] for gid in range(g.ngroups))
-        table = self.tables[kt]
-        block = [self._block_len(j, kt) for j in range(g.ndim)]
-        self.lookups_last_query = 0
-        best = None
-        for s in itertools.product((0, 1), repeat=g.ndim):
-            anchor = tuple(
-                lo + sj * (ln - bl) for lo, sj, ln, bl in zip(box.lo, s, lengths, block)
-            )
-            rank = table.item(anchor)
-            self.lookups_last_query += 1
-            best = rank if best is None else self._pick(best, rank)
+        lo, hi = box.lo, box.hi
+        lengths = [b - a + 1 for a, b in zip(lo, hi)]
+        base = [lengths[b] for b in g.base_dim]
+        if lengths != [f * base[gid] for f, gid in zip(g.stretch, g.group_of)]:
+            self._check_shape(box)
+        kt = tuple([self.log2floor[n] for n in base])
+        anchors = [
+            (a, b + 1 - (f << kt[gid])) for a, b, f, gid in zip(lo, hi, g.stretch, g.group_of)
+        ]
+        best = self._pick(map(self.tables[kt].item, itertools.product(*anchors)))
+        self.lookups_last_query = 1 << len(lo)
         return self.distinct.item(best)
 
     def query_many(self, lo, hi) -> np.ndarray:

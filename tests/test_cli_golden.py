@@ -39,6 +39,7 @@ CUBES = {
     "float_sum_overflow": "1\n3\nfloat\n1e308 1e308 1.0\n",
     "float_product_overflow": "1\n3\nfloat\n1e200 1e200 5.0\n",
     "float_product_underflow": "1\n3\nfloat\n1e-200 1e-200 5.0\n",
+    "float_product_fold_underflow": "1\n3\nfloat\n1e-100 1e-100 1e-200\n",
     "inf_cell": "1\n2\nfloat\ninf 1.0\n",
     "nan_cell": "1\n4\nfloat\n1.0 nan 0.5 2.0\n",
     "short": "1\n3\nint\n1 2\n",
@@ -102,6 +103,7 @@ CASES = [
     ("float-sum-overflow", "prefix", "float_sum_overflow", "query 0 0\nquery 2 2\n", False),
     ("float-product-overflow", "prefix:op=product", "float_product_overflow", "query 0 0\nquery 2 2\n", False),
     ("float-product-underflow", "fenwick:op=product", "float_product_underflow", "query 0 0\nquery 2 2\n", False),
+    ("float-product-fold-underflow", "fenwick:op=product", "float_product_fold_underflow", "query 0 1\nquery 2 2\n", False),
     ("inf-cell-sum", "prefix", "inf_cell", "query 1 1\n", False),
     ("nan-cell-rmq", "rmq", "nan_cell", "rmq 0 3\n", True),
     ("nan-scale-median", "median:scales={nan_scale}", "ones3x3", "cube-median 0 2 0 2\n", False),

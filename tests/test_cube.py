@@ -231,12 +231,20 @@ class TestPrefixCube:
         assert pc.range_aggregate(QueryBox([0, 1], [1, 1])) == 21.0
 
     def test_product_underflow_rejected(self):
-        # The prefix products past the second cell round to 0.0.
-        pc = PrefixCube(make_cube([3], [1e-200, 1e-200, 5.0]), PRODUCT)
-        for box in (QueryBox([2], [2]), QueryBox([1], [1])):
-            with pytest.raises(ValueError, match="underflow"):
-                pc.range_aggregate(box)
-        assert pc.range_aggregate(QueryBox([0], [0])) == 1e-200
+        # The prefix products past the first cell round to 0.0.
+        with pytest.raises(ValueError, match="product underflow: the build leaves a table entry of 0.0"):
+            PrefixCube(make_cube([3], [1e-200, 1e-200, 5.0]), PRODUCT)
+        # Every prefix is normal; the box [1, 2] is 1e-310, below the normal floats.
+        pc = PrefixCube(make_cube([3], [1e100, 1e-200, 1e-110]), PRODUCT)
+        with pytest.raises(ValueError, match="product underflow"):
+            pc.range_aggregate(QueryBox([1], [2]))
+        assert pc.range_aggregate(QueryBox([0], [1])) == 1e-100
+        # Every prefix is normal, but each fold of two corners of the box
+        # [1, 1] x [1, 1] reads 1e-320.
+        pc = PrefixCube(make_cube([2, 2], [1e-160, 1e10, 1e-10, 1.0]), PRODUCT)
+        with pytest.raises(ValueError, match="product underflow"):
+            pc.range_aggregate(QueryBox([1, 1], [1, 1]))
+        assert pc.range_aggregate(QueryBox([0, 1], [1, 1])) == 1e10
 
     def test_out_of_bounds_box(self):
         pc = PrefixCube(make_cube([2, 2], [1, 2, 3, 4]), SUM)
@@ -301,11 +309,11 @@ class TestRangeAggregateMany:
     """Batched reads against the scalar method (exactly, sign of zero included)
     and against the brute-force scan."""
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
     def test_matches_scalar_and_brute_force(self, d):
         rng = random.Random(300 + d)
         for _ in range(8):
-            dims = [rng.randint(1, 4 if d == 4 else 7) for _ in range(d)]
+            dims = [rng.randint(1, {4: 4, 5: 3, 6: 3}.get(d, 7)) for _ in range(d)]
             n = math.prod(dims)
             ints = make_cube(dims, [rng.randint(-100, 100) for _ in range(n)])
             signs = [rng.choice((-1, 1)) for _ in range(n)]
@@ -344,10 +352,11 @@ class TestRangeAggregateMany:
         assert got == [brute_force_range(cube, b, SUM) for b in boxes]
 
     def test_product_underflow_rejected(self):
-        pc = PrefixCube(make_cube([3], [1e-200, 1e-200, 5.0]), PRODUCT)
-        assert pc.range_aggregate_many([[0]], [[0]]).tolist() == [1e-200]
+        # The box [1, 2] is 1e-310, below the normal floats.
+        pc = PrefixCube(make_cube([3], [1e100, 1e-200, 1e-110]), PRODUCT)
+        assert pc.range_aggregate_many([[0]], [[1]]).tolist() == [1e-100]
         with pytest.raises(ValueError, match="underflow"):
-            pc.range_aggregate_many([[0], [2]], [[0], [2]])
+            pc.range_aggregate_many([[0], [1]], [[0], [2]])
 
     def test_int_product_rejected(self):
         # Int prefix products would wrap, so the build refuses them.

@@ -1,5 +1,6 @@
 """Tests for the multidimensional Fenwick tree and the hybrid block partition."""
 
+import itertools
 import math
 import random
 
@@ -247,6 +248,49 @@ class TestCrossStructure:
         assert direct.table.shape == incremental.table.shape
         assert (direct.table == incremental.table).all()
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_range_query_every_dimension(self, d):
+        """Box reads at every dimensionality a cube accepts, against the scan;
+        the cell counter is the largest prefix read among the box's non-empty
+        corners."""
+        rng = random.Random(600 + d)
+        dims = [rng.randint(1, 3 if d >= 5 else 5) for _ in range(d)]
+        n = math.prod(dims)
+        ints = make_cube(dims, [rng.randint(-100, 100) for _ in range(n)])
+        floats = make_cube(dims, [rng.uniform(0.5, 2.0) for _ in range(n)])
+        boxes = [QueryBox.full(dims)]
+        for _ in range(20):
+            lo = [rng.randint(0, m - 1) for m in dims]
+            boxes.append(QueryBox(lo, [rng.randint(a, m - 1) for a, m in zip(lo, dims)]))
+        builds = (
+            FenwickCube,
+            HybridCube,
+            lambda c, op: HybridCube(c, op, k=1, q=0),
+            lambda c, op: HybridCube(c, op, k=2, q=d),
+        )
+        for cube, op in ((ints, SUM), (ints, XOR), (floats, SUM), (floats, PRODUCT)):
+            expected = [brute_force_range(cube, box, op) for box in boxes]
+            for build in builds:
+                structure = build(cube, op)
+                rel_tol, abs_tol = structure.tolerance
+                for box, want in zip(boxes, expected):
+                    got = structure.range_query(box)
+                    touched = structure.cells_touched_last_query
+                    if cube.kind == "int":
+                        assert got == want
+                    else:
+                        assert math.isclose(got, want, rel_tol=rel_tol, abs_tol=abs_tol), (box, got, want)
+                    corners = [
+                        [b if x else a - 1 for a, b, x in zip(box.lo, box.hi, high)]
+                        for high in itertools.product((True, False), repeat=d)
+                    ]
+                    reads = []
+                    for corner in corners:
+                        if min(corner) >= 0:
+                            structure.prefix_query(corner)
+                            reads.append(structure.cells_touched_last_query)
+                    assert touched == max(reads)
+
     @pytest.mark.parametrize("name", sorted(STRUCTURES))
     def test_float_build_close_to_point_updates(self, name):
         """Float builds add in another order than point updates, so they agree
@@ -281,16 +325,55 @@ class TestCrossStructure:
 
     @pytest.mark.parametrize("name", sorted(STRUCTURES))
     def test_product_underflow_rejected(self, name):
-        # The prefix products past the second cell round to 0.0.
-        structure = STRUCTURES[name](make_cube([3], [1e-200, 1e-200, 5.0]), PRODUCT)
-        for box in (QueryBox([2], [2]), QueryBox([1], [1])):
-            with pytest.raises(ValueError, match="underflow"):
-                structure.range_query(box)
-        for b in ([1], [2]):
-            with pytest.raises(ValueError, match="underflow"):
-                structure.prefix_query(b)
-        assert structure.range_query(QueryBox([0], [0])) == 1e-200
-        assert structure.prefix_query([0]) == 1e-200
+        # The table entries over the first two cells round to 0.0.
+        with pytest.raises(ValueError, match="product underflow: the build leaves a table entry of 0.0"):
+            STRUCTURES[name](make_cube([3], [1e-200, 1e-200, 5.0]), PRODUCT)
+        # Every table entry is normal, but the product read for the prefix
+        # [0, 2] rounds to 0.0.
+        structure = STRUCTURES[name](make_cube([3], [1e-100, 1e-100, 1e-200]), PRODUCT)
+        with pytest.raises(ValueError, match="underflow"):
+            structure.range_query(QueryBox([2], [2]))
+        with pytest.raises(ValueError, match="underflow"):
+            structure.prefix_query([2])
+        assert structure.range_query(QueryBox([0], [1])) == 1e-200
+        assert structure.prefix_query([1]) == 1e-200
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    def test_product_update_underflow_rejected(self, name):
+        structure = STRUCTURES[name](make_cube([3], [1e-100, 1e-100, 1.0]), PRODUCT)
+        before = structure.table.tobytes()
+        # The entry over the first two cells would fall to 1e-350.
+        with pytest.raises(ValueError, match=r"product underflow: updating cell \(0,\) by 1e-150 would leave"):
+            structure.update([0], 1e-150)
+        with pytest.raises(ValueError, match="product underflow"):
+            structure.set_value([0], 1e-250)
+        assert structure.table.tobytes() == before
+        assert structure.point_read([0]) == 1e-100
+        assert structure.range_query(QueryBox([0], [2])) == 1e-200
+        structure.update([0], 1e-50)
+        assert structure.range_query(QueryBox([0], [1])) == 1e-250
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    @pytest.mark.parametrize(
+        "values, value, message",
+        [
+            ([2.0, 3.0], 5e-324, "product underflow: setting cell (0,) to 5e-324 takes the delta "
+             "5e-324 / 2.0, which rounds to 0.0, below the normal floats"),
+            ([1e-300, 3.0], 1e300, "float overflow: setting cell (0,) to 1e+300 takes the delta "
+             "1e+300 / 1e-300, which rounds to inf"),
+        ],
+        ids=["delta-underflow", "delta-overflow"],
+    )
+    def test_product_set_value_names_value_and_cause(self, name, values, value, message):
+        # At the parent these read "would set cell (0,) to zero" and "delta
+        # inf is not a finite float".
+        structure = STRUCTURES[name](make_cube([2], values), PRODUCT)
+        before = structure.table.tobytes()
+        with pytest.raises(ValueError) as info:
+            structure.set_value((0,), value)
+        assert str(info.value) == message
+        assert structure.table.tobytes() == before
+        assert structure.point_read((0,)) == values[0]
 
     @pytest.mark.parametrize("name", sorted(STRUCTURES))
     def test_xor_rejects_float_cube(self, name):

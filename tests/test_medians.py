@@ -457,6 +457,26 @@ class TestCubeMedian:
                 continue
             assert res.cost == brute_force_median(cube, scales, box)
 
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_matches_brute_force_high_dimensions(self, d):
+        # The box sums read every corner mix up to MAX_DIMENSIONS.
+        rng = random.Random(700 + d)
+        for kind in ("int", "float"):
+            dims = [rng.randint(1, 3 if d == 4 else 2) for _ in range(d)]
+            n = math.prod(dims)
+            values = [rng.randint(1, 9) for _ in range(n)]
+            if kind == "float":
+                values = [v / 4 for v in values]
+            scales = [sorted(rng.sample(range(0, 50), m)) for m in dims]
+            cube = make_cube(dims, values)
+            idx = CubeMedianIndex(cube, scales)
+            for _ in range(4):
+                lo = [rng.randint(0, m - 1) for m in dims]
+                box = QueryBox(lo, [rng.randint(a, m - 1) for a, m in zip(lo, dims)])
+                res = cube_range_weighted_median(idx, box)
+                best = brute_force_median(cube, scales, box)
+                assert math.isclose(res.cost, best, rel_tol=0.0, abs_tol=idx.cost_error_bound)
+
     def test_per_dimension_matches_materialized_slabs(self):
         rng = random.Random(47)
         dims = [4, 5]

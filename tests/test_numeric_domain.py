@@ -107,6 +107,15 @@ class TestProduct:
         assert read(structure, QueryBox([0], [1])) == 2.0**80
 
     @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_subnormal_table_entry_rejected(self, name):
+        # A table entry of 1e-310 is subnormal: at the parent the box [1, 2]
+        # read 0.9999999999999969 against a tolerance of (7.8e-16, 0).
+        with pytest.raises(ValueError, match="product underflow: the build leaves a table entry of 1e-310"):
+            TABLES[name](make_cube([3], [1e-300, 1e-10, 1e10]), PRODUCT)
+        structure = TABLES[name](make_cube([3], [1e-290, 1e-10, 1e10]), PRODUCT)
+        assert read(structure, QueryBox([1], [2])) == 1.0
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
     def test_float_overflow_named(self, name):
         structure = TABLES[name](make_cube([3], [1e200, 1e200, 5.0]), PRODUCT)
         assert read(structure, QueryBox([0], [0])) == 1e200

@@ -234,11 +234,11 @@ class TestQueryMany:
     """Batched queries against the scalar ``query`` (exactly, NaN and the sign
     of zero included) and against the brute-force scan."""
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
     def test_matches_scalar_and_brute_force(self, d):
         rng = random.Random(400 + d)
         for _ in range(6):
-            dims = [rng.randint(1, 5 if d == 4 else 9) for _ in range(d)]
+            dims = [rng.randint(1, {4: 5, 5: 3, 6: 3}.get(d, 9)) for _ in range(d)]
             n = math.prod(dims)
             ints = make_cube(dims, [rng.randint(-100, 100) for _ in range(n)])
             floats = make_cube(dims, [rng.uniform(-1.0, 1.0) for _ in range(n)])
@@ -261,16 +261,23 @@ class TestQueryMany:
             ([8, 16], DimensionGrouping([0, 0], [0], [1, 2])),
             ([4, 12, 5], DimensionGrouping([0, 0, 1], [0, 2], [1, 3, 1])),
             ([6, 5, 7], DimensionGrouping([0, 1, 0], [0, 1], [1, 1, 1])),
+            ([3, 2, 3, 3, 2], DimensionGrouping([0, 0, 1, 1, 2], [0, 2, 4], [1, 2, 1, 1, 1])),
+            ([2, 3, 2, 3, 2, 3], DimensionGrouping([0, 1, 0, 1, 2, 2], [0, 1, 4], [1, 1, 2, 1, 1, 3])),
         ],
     )
     def test_grouped_constrained_boxes(self, dims, grouping):
         rng = random.Random(41)
-        cube = make_cube(dims, [rng.randint(-50, 50) for _ in range(math.prod(dims))])
-        table = SparseTable(cube, grouping)
+        n = math.prod(dims)
+        ints = make_cube(dims, [rng.randint(-50, 50) for _ in range(n)])
+        floats = make_cube(dims, [rng.choice((-0.0, 0.0, rng.uniform(-1.0, 1.0))) for _ in range(n)])
         boxes = list(constrained_boxes(dims, grouping))
-        got = table.query_many(*box_arrays(boxes)).tolist()
-        assert got == [table.query(b) for b in boxes]
-        assert got == [brute_force_range(cube, b, MIN) for b in boxes]
+        for cube in (ints, floats):
+            table = SparseTable(cube, grouping)
+            got = table.query_many(*box_arrays(boxes)).tolist()
+            assert table.lookups_last_query == 2 ** len(dims)
+            assert list(map(repr, got)) == [repr(table.query(b)) for b in boxes]
+            assert table.lookups_last_query == 2 ** len(dims)
+            assert got == [brute_force_range(cube, b, MIN) for b in boxes]
 
     def test_shape_constraint_enforced(self):
         grouping = DimensionGrouping([0, 0], [0], [1, 2])
