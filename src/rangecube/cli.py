@@ -26,9 +26,14 @@ Two commands:
   Each structure is one ``_STRUCTURES`` entry (options, a build step, a
   handler per verb, optionally a batched handler) run by the one loop in
   :func:`run_script`.  That loop answers each run of reads between
-  ``update`` lines with one batched read when the structure has one
-  (``prefix`` and ``rmq``, whose whole script is one run); output, counters,
-  error messages and oracle checks stay those of one read at a time.  The
+  ``update`` lines as columns when the structure has a batched handler
+  (``prefix`` and ``rmq``, whose whole script is one run): one parse turns
+  the run's arguments into ``lo``/``hi`` int64 arrays, one batched read
+  answers them and the values are formatted as one list under one counter
+  record.  A run with a bad line, or a token that parse does not vouch for,
+  goes through the verb handlers one command at a time instead, so output,
+  counters, error messages and oracle checks stay those of one read at a
+  time.  The lines go to stdout in one write once the script has run.  The
   structures check the numeric domain themselves: the int sum bound on load
   and on every update, float-only product and finite float cells.
 
@@ -65,7 +70,7 @@ from .cube import (
     make_cube,
 )
 from .dynamic import FenwickCube, HybridCube
-from .formats import load_cube, load_number_lines
+from .formats import _parse_numbers, load_cube, load_number_lines
 from .medians import (
     CubeMedianIndex,
     MedianIndex,
@@ -103,8 +108,7 @@ def format_value(value) -> str:
 # -- scripts -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScriptCommand:
+class ScriptCommand(NamedTuple):
     lineno: int
     verb: str
     args: tuple
@@ -339,38 +343,46 @@ def _box_read(s: _BoxReads, cmd, oracle):
 
 def _box_arrays(run, d: int):
     """The boxes a run of box reads names, as N x d int64 ``lo`` and ``hi``
-    arrays (``prefix b`` names ``[0, b]``).
-
-    Raises ValueError or OverflowError on any bad argument without naming its
-    line; the caller then re-runs the commands one at a time through ``_box``.
-    """
+    arrays (``prefix b`` names ``[0, b]``), from one parse of all their
+    arguments; None where a line has the wrong argument count or holds a
+    token :func:`~rangecube.formats._parse_numbers` does not vouch for."""
     prefix = np.array([cmd.verb == "prefix" for cmd in run])
+    widths = np.where(prefix, d, 2 * d)
+    if not np.array_equal([len(cmd.args) for cmd in run], widths):
+        return None
+    coords = _parse_numbers(" ".join(itertools.chain.from_iterable(cmd.args for cmd in run)), "int")
+    if coords is None:
+        return None
+    starts = np.cumsum(widths) - widths
     lo = np.zeros((len(run), d), dtype=np.int64)
-    hi = np.zeros((len(run), d), dtype=np.int64)
+    hi = np.empty((len(run), d), dtype=np.int64)
     for rows, width in ((prefix, d), (~prefix, 2 * d)):
-        group = [cmd for cmd, row in zip(run, rows) if row]
-        if any(len(cmd.args) != width for cmd in group):
-            raise ValueError("wrong argument count")
-        tokens = (int(a) for cmd in group for a in cmd.args)
-        coords = np.fromiter(tokens, np.int64, len(group) * width).reshape(len(group), width)
+        group = coords[starts[rows, None] + np.arange(width)]
         if width == d:
-            hi[rows] = coords
+            hi[rows] = group
         else:
-            lo[rows], hi[rows] = coords[:, 0::2], coords[:, 1::2]
+            lo[rows], hi[rows] = group[:, 0::2], group[:, 1::2]
     return lo, hi
 
 
 def _box_reads(s: _BoxReads, run, oracle):
-    """The answers of a run of box reads, from one batched read."""
-    lo, hi = _box_arrays(run, s.cube.ndim)
-    values = s.read_many(lo, hi).tolist()
-    touched = s.touched()
-    if not oracle:
-        return (_Answer((v,), v, touched) for v in values)
-    boxes = zip(lo.tolist(), hi.tolist())
-    expected = [brute_force_range(s.twin, QueryBox(a, b), s.op) for a, b in boxes]
-    tol = s.structure.tolerance
-    return (_Answer((v,), v, touched, e, *tol) for v, e in zip(values, expected))
+    """A run of box reads answered by one batched read: ``(values, counter,
+    checks)``, ``checks`` holding each box's ``(expected, rel_tol,
+    abs_tol)`` under --oracle.  None where a line is bad; the caller then
+    runs the commands one at a time, so the first bad line is named."""
+    boxes = _box_arrays(run, s.cube.ndim)
+    if boxes is None:
+        return None
+    try:
+        values = s.read_many(*boxes).tolist()
+    except (ValueError, IndexError):
+        return None
+    checks = None
+    if oracle:
+        tol = s.structure.tolerance
+        pairs = zip(boxes[0].tolist(), boxes[1].tolist())
+        checks = [(brute_force_range(s.twin, QueryBox(a, b), s.op), *tol) for a, b in pairs]
+    return values, s.touched(), checks
 
 
 def _box_update(s: _BoxReads, cmd, oracle):
@@ -474,7 +486,7 @@ class _Structure:
     options: dict  # option key -> converter of its text (None when absent)
     build: Callable  # (options, data path, oracle) -> state for the handlers
     verbs: dict  # verb -> (handler(state, cmd, oracle) -> _Answer, counter key)
-    batch: Optional[Callable] = None  # (state, run of reads, oracle) -> their _Answers in order
+    batch: Optional[Callable] = None  # (state, run of reads, oracle) -> (values, counter, checks) or None
 
 
 _DYNAMIC_VERBS = {
@@ -543,9 +555,26 @@ def run_script(data_path, struct_spec: str, script_path, oracle: bool = False):
             )
     state = entry.build(_structure_options(entry.options, options), data_path, oracle)
     stats = _Stats()
-    # Updates are barriers: each run of reads between them is answered together.
+    # Updates are barriers: each run of reads between them is answered together
+    # by the batched handler, if any.  A run it declines (a bad line) goes
+    # through the verb handlers one command at a time, and they name the line.
     for _, run in itertools.groupby(commands, key=lambda cmd: cmd.verb == "update"):
-        for cmd, answer in _answers(entry, state, list(run), oracle):
+        run = list(run)
+        batched = None
+        if entry.batch is not None and len(run) > 1 and run[0].verb != "update":
+            batched = entry.batch(state, run, oracle)
+        if batched is not None:
+            values, counter, checks = batched
+            if oracle:
+                for cmd, got, check in zip(run, values, checks):
+                    _oracle_check(cmd, got, *check)
+            for verb in {cmd.verb for cmd in run}:
+                stats.record(entry.verbs[verb][1], counter)
+            stats.queries += len(values)
+            out.extend(map(format_value, values))
+            continue
+        for cmd in run:
+            answer = _answer(entry, state, cmd, oracle)
             stats.record(entry.verbs[cmd.verb][1], answer.counter)
             if cmd.verb == "update":
                 stats.updates += 1
@@ -556,22 +585,6 @@ def run_script(data_path, struct_spec: str, script_path, oracle: bool = False):
             out.append(_line(answer))
     out.extend(stats.lines())
     return out
-
-
-def _answers(entry: _Structure, state, run: list, oracle: bool):
-    """``(command, answer)`` for each command of a run of reads or of updates.
-
-    A structure with a batched handler answers a run of reads in one call.
-    Otherwise, or if that call raises, each command goes through its verb's
-    handler in order, so the first bad line raises its own message after the
-    oracle has checked the lines before it.
-    """
-    if entry.batch is not None and len(run) > 1 and run[0].verb != "update":
-        try:
-            return zip(run, entry.batch(state, run, oracle))
-        except (ValueError, IndexError, OverflowError):
-            pass
-    return ((cmd, _answer(entry, state, cmd, oracle)) for cmd in run)
 
 
 def _answer(entry: _Structure, state, cmd: ScriptCommand, oracle: bool) -> _Answer:
@@ -694,18 +707,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_query(ns) -> int:
-    for line in run_script(ns.data, ns.struct, ns.script, oracle=ns.oracle):
-        print(line)
+def _write_lines(lines) -> int:
+    """Print every line with one write to stdout."""
+    sys.stdout.write("\n".join([*lines, ""]))
     return 0
+
+
+def _cmd_query(ns) -> int:
+    return _write_lines(run_script(ns.data, ns.struct, ns.script, oracle=ns.oracle))
 
 
 def _cmd_bench(ns) -> int:
     k_list = _int_list(ns.k) if ns.k else None
     q_list = _int_list(ns.q) if ns.q else None
-    for line in run_bench(ns.n, ns.d, k_list, q_list, ns.ratio, ns.ops, ns.seed, ns.csv):
-        print(line)
-    return 0
+    return _write_lines(run_bench(ns.n, ns.d, k_list, q_list, ns.ratio, ns.ops, ns.seed, ns.csv))
 
 
 def main(argv=None) -> int:

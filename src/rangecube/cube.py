@@ -66,13 +66,6 @@ class AggregateOp:
     def invertible(self) -> bool:
         return self.inverse is not None
 
-    def fold(self, items) -> object:
-        """Combine an iterable starting from the identity."""
-        acc = self.identity
-        for item in items:
-            acc = self.combine(acc, item)
-        return acc
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"AggregateOp({self.name})"
 
@@ -388,10 +381,11 @@ def float_product_error_bound(ndim: int, terms: int) -> float:
 
     Below the normal floats a product loses relative accuracy, so a float
     product table rejects, as ``product underflow``, a table entry below
-    them at build or on update, and a read rejects a fold or an answer below
-    them.  What is still assumed is that no product a read forms and does
-    not check lands there: the running product inside one Fenwick or hybrid
-    block read, and the running fold of a box's corners.
+    them at build or on update and an update that would leave a cell below
+    them, and a read rejects a fold or an answer below them.  What is still
+    assumed is that no product a read forms and does not check lands there:
+    the running product inside one Fenwick or hybrid block read, and the
+    running fold of a box's corners.
     """
     rounded = (2**ndim * terms + 1) * _EPS / 2
     return rounded / (1 - rounded) if rounded < 0.5 else 1.0
@@ -456,13 +450,20 @@ def _updated_cell(op: AggregateOp, values: np.ndarray, coords: tuple, delta):
     if kind == "f":
         if not abs(value) <= _FLOAT_MAX:
             raise ValueError(f"update would set cell {coords} to {value}, which is not finite")
+        # Product tables are float only.  A cell below the normal floats has
+        # lost the relative accuracy their tolerance assumes.
+        if op.name == "product" and abs(value) < _TINY:
+            if value == 0:
+                raise ValueError(f"product update would set cell {coords} to zero")
+            raise ValueError(
+                f"product underflow: update would set cell {coords} to {value!r}, "
+                "below the normal floats"
+            )
     elif op.name == "sum":
         # The bound on the new cell also keeps the delta within int64.
         _check_sum_bound(abs(value), values.size)
     elif not _INT64_MIN <= delta <= _INT64_MAX:
         raise ValueError(f"delta {delta} does not fit a 64-bit signed integer")
-    if op.name == "product" and value == 0:
-        raise ValueError(f"product update would set cell {coords} to zero")
     return value
 
 

@@ -33,8 +33,9 @@ Min/max are not invertible and are rejected here; use the static structures.
 Builds and updates keep every cell in the domain the cube module's table
 check admits: int sum cells keep ``|value| * cells`` below ``2**62``, product
 needs a float cube with no zero cell and no table entry below the normal
-floats, and float cells stay finite.  A float table whose prefix overflowed
-is reported when a query reads it.
+floats, and no update may round a cell below them; float cells stay
+finite.  A float table whose prefix overflowed is reported when a query
+reads it.
 """
 
 from __future__ import annotations

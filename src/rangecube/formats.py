@@ -11,15 +11,25 @@ Integer cubes round-trip bit-exactly.  Float values must be finite: a cube
 file holding ``nan``, ``inf`` or a value past the float range is rejected.
 Scale files and weight-array files hold one whitespace-separated number list
 per line.
+
+A cube file's values are read by one ``np.fromstring`` call over the text
+after the header.  That parse defers to converting each ``str.split()``
+token with ``int``/``float``, the one reading the format defines, wherever
+the two could differ (see :func:`_parse_numbers`): a non-ASCII body, a sign
+not followed by a digit, a byte numpy cannot read, a token count numpy does
+not see, an int at the int64 edges (numpy saturates) and a non-finite float.
+The token path also names the first bad value of a rejected file.
 """
 
 from __future__ import annotations
 
-from typing import List
+import math
+import warnings
+from typing import List, Optional
 
 import numpy as np
 
-from .cube import DataCube, make_cube
+from .cube import MAX_DIMENSIONS, DataCube, make_cube
 
 __all__ = [
     "parse_cube_text",
@@ -59,7 +69,89 @@ def _bad_value(text: str, tokens: list, start: int, kind: str) -> list:
     return values
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _parse_numbers(text: str, kind: str) -> Optional[np.ndarray]:
+    """The ``kind`` (``"int"`` or ``"float"``) numbers of ``text`` as one
+    int64 or float64 array from one ``np.fromstring`` call, or None where
+    that array could differ from ``int(tok)``/``float(tok)`` over
+    ``text.split()``.  numpy's parse differs on:
+
+    * a non-ASCII text: ``int`` reads other digits, ``str.split`` other spaces;
+    * an int sign not followed by a digit: numpy reads a lone ``-`` as 0 and
+      ``- 1`` as -1;
+    * a byte it cannot read, where numpy 2 raises and numpy 1 warns and
+      stops; ``\\x1c``-``\\x1f``, which ``str.split`` splits at, are such bytes;
+    * whitespace alone, which numpy reads as one value: the token count must
+      match the value count;
+    * an int at the int64 maximum or minimum: numpy saturates on overflow;
+    * a non-finite float: numpy also reads ``nan(123)``.
+    """
+    try:
+        raw = text.encode("ascii") + b" "
+    except UnicodeEncodeError:
+        return None
+    b = np.frombuffer(raw, dtype=np.uint8)
+    # The whitespace numpy skips: uint8 arithmetic wraps, so ``b - 9 <= 4``
+    # is \t, \n, \v, \f and \r.
+    space = (b == 32) | (b - 9 <= 4)
+    tokens = np.count_nonzero(~space[:-1] & space[1:])
+    if kind == "int":
+        sign = (b[:-1] == ord("+")) | (b[:-1] == ord("-"))
+        if (sign & (b[1:] - ord("0") > 9)).any():
+            return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(raw, dtype=np.int64 if kind == "int" else np.float64, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+    if values.size != tokens:
+        return None
+    if kind == "int":
+        if values.size and (values.max() == _INT64.max or values.min() == _INT64.min):
+            return None
+    elif not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _split_header(text: str):
+    """``(dims, kind, body)`` of a cube file whose header is well formed and
+    which has text after it, else None."""
+    head = text.split(None, 1)
+    try:
+        ndim = int(head[0])
+    except (IndexError, ValueError):
+        return None
+    if not 1 <= ndim <= MAX_DIMENSIONS or len(head) < 2:
+        return None
+    fields = head[1].split(None, ndim + 1)
+    if len(fields) < ndim + 2 or fields[ndim] not in ("int", "float"):
+        return None
+    try:
+        dims = [int(tok) for tok in fields[:ndim]]
+    except ValueError:
+        return None
+    if min(dims) < 1:
+        return None
+    return dims, fields[ndim], fields[ndim + 1]
+
+
 def parse_cube_text(text: str) -> DataCube:
+    header = _split_header(text)
+    if header is not None:
+        dims, kind, body = header
+        values = _parse_numbers(body, kind)
+        if values is not None and values.size == math.prod(dims):
+            return make_cube(dims, values, kind=kind)
+    return _parse_cube_tokens(text)
+
+
+def _parse_cube_tokens(text: str) -> DataCube:
+    """The token path: each ``str.split()`` token converted on its own, and
+    every fault named with its line."""
     tokens = text.split()
 
     def header(i: int, what: str) -> str:

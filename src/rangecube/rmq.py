@@ -14,7 +14,9 @@ among the cube's sorted distinct values (rank-space reduction, Gabow, Bentley
 as values.  Ranks take the narrowest unsigned dtype that holds them, 1 byte
 per entry up to 256 distinct values, 2 up to 65536 and 4 beyond, against 8
 for int64 or float64 values; an answer maps back through one gather into the
-distinct values.  Level ``k``
+distinct values.  An int cube whose values span at most its cell count is
+ranked by counting (a presence array over the span and its running count),
+with no sort; any other cube is ranked by ``np.unique``.  Level ``k``
 holds only the anchors whose block fits the cube (``extent[j] - side[j] + 1``
 of them in dimension ``j``).  Levels are filled in increasing lexicographic
 order of the k-tuples; each step halves a single group (two shifted child
@@ -92,6 +94,24 @@ class DimensionGrouping:
         return tuple(j for j, gj in enumerate(self.group_of) if gj == g)
 
 
+def _ranks(values: np.ndarray) -> tuple:
+    """``(distinct, inverse)`` equal to ``np.unique(values,
+    return_inverse=True)``, dtypes included.  An int cube whose values span
+    at most its cell count is ranked by counting, with no sort: a presence
+    array over the span, its running count and one gather.  Any other cube
+    (floats, or ints spread wider) takes ``np.unique``."""
+    flat = values.ravel()
+    if flat.dtype.kind == "i":
+        low = int(flat.min())
+        span = int(flat.max()) - low + 1
+        if span <= flat.size:
+            offset = flat - low
+            present = np.zeros(span, dtype=bool)
+            present[offset] = True
+            return np.flatnonzero(present) + low, (np.cumsum(present) - 1)[offset]
+    return np.unique(values, return_inverse=True)
+
+
 class SparseTable:
     """Precomputed min/max tables for shape-constrained box queries.
 
@@ -137,7 +157,7 @@ class SparseTable:
         #: log2floor[x] = floor(log2(x)) for 1 <= x <= max extent (index 0 unused).
         self.log2floor = (0,) + tuple(x.bit_length() - 1 for x in range(1, max(cube.dims) + 1))
         self.lookups_last_query = 0
-        self.distinct, inverse = np.unique(cube.values, return_inverse=True)
+        self.distinct, inverse = _ranks(cube.values)
         ranks = inverse.reshape(cube.dims).astype(np.min_scalar_type(len(self.distinct) - 1))
         self.tables = {}
         self._build(ranks)

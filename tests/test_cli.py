@@ -479,6 +479,74 @@ class TestBatchedReads:
         assert out[-1] == f"# counters {key}=4"
 
 
+class TestColumnarRuns:
+    """A run of box reads parsed, read and printed as columns writes what the
+    one-command path writes: stdout, stderr and exit code alike."""
+
+    CUBES = {"int": CUBE_2X2, "float": "2\n2 2\nfloat\n0.1 -0.0\n2.5e-7 3.0\n"}
+    GOOD = {
+        "prefix": ["query 0 1 0 1", "prefix 1 0", "query 1 1\t0 1", "prefix 0 0", "query 0 0 1 1"],
+        "rmq": ["rmq 0 1 0 1", "rmq 1 1 0 1", "rmq 0 0\t1 1", "rmq 0 1 1 1", "rmq 1 1 1 1"],
+    }
+    BAD = [
+        "{v} 0 9 0 0",  # past the extent
+        "{v} 1 0 0 0",  # empty box
+        "{v} 0 1 0",  # argument count
+        "{v} 0 x 0 0",
+        "{v} 0 1 0 1e0",
+        "{v} 0 - 0 1",  # numpy reads a lone sign as 0
+        "{v} 0 -\t1 0 1",
+        "{v} 0 1 0 9223372036854775808",
+        "{v} -1 1 0 1",
+        "{v} 0 \u0661 0 1",  # int() reads it as 1: a good line the batch declines
+        "prefix 1",
+        "prefix 0 +",
+    ]
+
+    @staticmethod
+    def outputs(capsys, monkeypatch, argv):
+        import dataclasses
+
+        from rangecube import cli
+
+        columnar = run(capsys, argv)
+        with monkeypatch.context() as patch:
+            for name, entry in cli._STRUCTURES.items():
+                patch.setitem(cli._STRUCTURES, name, dataclasses.replace(entry, batch=None))
+            one_at_a_time = run(capsys, argv)
+        assert columnar == one_at_a_time
+        return columnar
+
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+    @pytest.mark.parametrize("kind", ["int", "float"])
+    @pytest.mark.parametrize("struct", ["prefix", "rmq"])
+    @pytest.mark.parametrize("bad", BAD)
+    def test_bad_line_anywhere_in_a_run(self, files, capsys, monkeypatch, oracle, kind, struct, bad):
+        cube = files("cube.txt", self.CUBES[kind])
+        good = self.GOOD[struct]
+        bad = bad.format(v=good[0].split()[0])
+        for at in (0, 2, len(good)):
+            lines = good[:at] + [bad] + good[at:]
+            script = files("s.txt", "\n".join(lines) + "\n")
+            self.outputs(capsys, monkeypatch, ["query", struct, cube, script, *oracle])
+
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+    @pytest.mark.parametrize(
+        "struct, text",
+        [
+            ("prefix", "# head\r\nquery 0 1 0 1\r\n\r\n  prefix 1 1  # tail\r\n\tquery 1 1 0 0\r\nprefix 0 1\r\n"),
+            ("prefix:op=xor", "prefix 1 1\nquery 0 1 1 1\nprefix 0 0\n#\nquery 1 1 1 1\n"),
+            ("rmq:mode=max", "\n# c\nrmq 0 1 0 1\r\nrmq 1 1 0 0 # x\n\nrmq 0 0 1 1\n"),
+            ("fenwick", "query 0 1 0 1\nprefix 1 1\nupdate 0 0 5\nquery 0 0 0 0\nprefix 1 0\nupdate 1 1 -2\nprefix 1 1\n"),
+            ("hybrid:k=1,q=1", "prefix 1 1\nupdate 1 0 3\nupdate 0 1 1\nquery 0 1 0 1\nquery 1 1 0 0\n"),
+        ],
+    )
+    def test_comments_crlf_mixed_verbs_and_updates(self, files, capsys, monkeypatch, oracle, struct, text):
+        cube = files("cube.txt", CUBE_2X2)
+        code, out, err = self.outputs(capsys, monkeypatch, ["query", struct, cube, files("s.txt", text), *oracle])
+        assert code == 0 and err == "" and out.count("\n") >= 5
+
+
 class TestUpdateOverflow:
     HALF = 1 << 62
 

@@ -1,6 +1,7 @@
 """Tests for data cubes, prefix cubes and the brute-force scan oracle."""
 
 import copy
+import functools
 import itertools
 import math
 import pickle
@@ -210,7 +211,7 @@ class TestPrefixCube:
             cube = random_cube(rng)
             for op in (SUM, XOR):
                 pc = PrefixCube(cube, op)
-                assert pc.range_aggregate(QueryBox.full(cube.dims)) == op.fold(cube.flat())
+                assert pc.range_aggregate(QueryBox.full(cube.dims)) == functools.reduce(op.combine, cube.flat(), op.identity)
 
     def test_lookup_counter_is_exactly_2_pow_d(self):
         rng = random.Random(11)

@@ -1,5 +1,6 @@
 """Tests for the multidimensional Fenwick tree and the hybrid block partition."""
 
+import functools
 import itertools
 import math
 import random
@@ -34,7 +35,7 @@ def random_cube(rng, d=None, max_extent=8):
 
 def shadow_prefix(cube_values, b, op):
     box = QueryBox([0] * len(b), b)
-    return op.fold(cube_values[box.slices()].flatten().tolist())
+    return functools.reduce(op.combine, cube_values[box.slices()].flatten().tolist(), op.identity)
 
 
 class TestFenwick:
@@ -90,7 +91,7 @@ class TestFenwick:
         rng = random.Random(21)
         cube = random_cube(rng, d=2, max_extent=5)
         fc = FenwickCube(cube, XOR)
-        assert fc.range_query(QueryBox.full(cube.dims)) == XOR.fold(cube.flat())
+        assert fc.range_query(QueryBox.full(cube.dims)) == functools.reduce(XOR.combine, cube.flat(), XOR.identity)
 
     def test_inverse_cancellation(self):
         cube = make_cube([3, 3], range(9))
@@ -352,6 +353,23 @@ class TestCrossStructure:
         assert structure.range_query(QueryBox([0], [2])) == 1e-200
         structure.update([0], 1e-50)
         assert structure.range_query(QueryBox([0], [1])) == 1e-250
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    def test_product_update_to_subnormal_cell_rejected(self, name):
+        """Every table entry stays normal, but the updated cell would round
+        below the normal floats: the shadow would hold that rounded cell and
+        box reads would leave ``tolerance`` against it."""
+        rng = random.Random(31)
+        for _ in range(50):
+            c, d = rng.uniform(1.0, 10.0), rng.uniform(1e-312, 1e-311)
+            structure = STRUCTURES[name](make_cube([2], [1e300, c]), PRODUCT)
+            table, shadow = structure.table.tobytes(), structure.shadow.tobytes()
+            with pytest.raises(ValueError) as info:
+                structure.update((1,), d)
+            assert str(info.value) == (
+                f"product underflow: update would set cell (1,) to {c * d!r}, below the normal floats"
+            )
+            assert structure.table.tobytes() == table and structure.shadow.tobytes() == shadow
 
     @pytest.mark.parametrize("name", sorted(STRUCTURES))
     @pytest.mark.parametrize(

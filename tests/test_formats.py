@@ -3,11 +3,16 @@
 import math
 import random
 import struct
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rangecube import make_cube
+from rangecube import formats, make_cube
 from rangecube.formats import (
+    _parse_cube_tokens,
+    _parse_numbers,
     dump_cube_text,
     load_cube,
     parse_cube_text,
@@ -102,6 +107,151 @@ class TestCubeFileEdges:
         assert bits == [struct.pack("<d", float(tok)) for tok in tokens]
         assert math.copysign(1.0, cube.cell((0,))) == -1.0
         assert cube.cell((1,)) == 5e-324
+
+
+def same_outcome(text):
+    """``parse_cube_text(text)`` gives what the token path gives: the same
+    message, or a cube of the same extents, dtype and value bits."""
+    outcomes = []
+    for parse in (parse_cube_text, _parse_cube_tokens):
+        try:
+            cube = parse(text)
+        except ValueError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append((cube.dims, cube.values.dtype, cube.values.tobytes()))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+class TestFastParse:
+    """Each case where numpy's one-call parse could differ from the token
+    path: ``_parse_numbers`` declines it and the file reads as the token
+    path reads it."""
+
+    @pytest.mark.parametrize(
+        "body, kind",
+        [
+            ("1 \u0661\u0662", "int"),  # int() reads Arabic-Indic digits
+            ("1\u20032", "int"),  # str.split() splits at an em space
+            ("1\x1c2 3\x1f", "int"),  # and at \x1c-\x1f, where numpy stops
+            ("1.5\x1e2", "float"),
+            ("1 -", "int"),  # numpy reads a lone sign as 0
+            ("-", "int"),
+            ("- 1", "int"),  # and joins a sign to the next token
+            ("+ 5 6", "int"),
+            ("1-2", "int"),  # numpy reads two values where str.split() sees one token
+            ("1-2", "float"),
+            ("1e3", "int"),  # bytes numpy cannot read
+            ("1_000", "int"),
+            ("0x1p3", "float"),
+            ("1 2x", "float"),
+            (" \t\n", "int"),  # whitespace alone reads as one value
+            (" \t\n", "float"),
+            ("9223372036854775807", "int"),  # numpy saturates here
+            ("-9223372036854775808", "int"),
+            ("99999999999999999999", "int"),
+            ("-99999999999999999999", "int"),
+            ("nan(123)", "float"),  # non-finite floats, nan(...) included
+            ("1e400", "float"),
+            ("-inf", "float"),
+        ],
+    )
+    def test_declined(self, body, kind):
+        assert _parse_numbers(body, kind) is None
+        same_outcome(f"1\n{len(body.split()) or 1}\n{kind}\n{body}\n")
+
+    def test_messages_of_declined_files(self):
+        for text, message in [
+            ("1\n2\nint\n1 -\n", "line 4: value 2 is not a valid int: '-'"),
+            ("1\n1\nint\n- 1\n", "line 4: value 1 is not a valid int: '-'"),
+            ("1\n1\nfloat\nnan(123)\n", "line 4: value 1 is not a valid float: 'nan(123)'"),
+            ("2\n-2 -2\nint\n1 2 3 4\n", "all extents must be >= 1, got [-2, -2]"),
+            ("0\nint\n1\n", "dimension count must be >= 1, got 0"),
+            ("1\nx\nint\n1\n", "line 2: expected extent of dimension 0, got 'x'"),
+            ("7\n1 1 1 1 1 1 1\nint\n1\n", "7 dimensions exceed the ceiling of 6"),
+            (f"{10**30}\n1\nint\n1\n", "line 3: expected extent of dimension 1, got 'int'"),
+            ("1\n2\ncomplex\n1 2\n", "line 3: value kind must be 'int' or 'float', got 'complex'"),
+        ]:
+            assert same_outcome(text) == message
+
+    def test_int64_edges_exact(self):
+        edges = [2**63 - 1, -(2**63 - 1), -(2**63), 0, -1]
+        text = "1\n5\nint\n" + " ".join(map(str, edges)) + "\n"
+        assert parse_cube_text(text).flat() == edges
+        # Only the two values numpy saturates to are left to the token path.
+        assert _parse_numbers(str(-(2**63 - 1)), "int").tolist() == [-(2**63 - 1)]
+        assert _parse_numbers(str(2**63 - 2), "int").tolist() == [2**63 - 2]
+
+    def test_signed_zero_and_subnormal_bits(self):
+        tokens = ["-0.0", "0.0", "-0", "5e-324", "-2.2250738585072014e-308", "1.7976931348623157e308", ".5", "1."]
+        values = _parse_numbers("\t".join(tokens) + "\r\n", "float")
+        assert values.tobytes() == np.array([float(t) for t in tokens]).tobytes()
+        cube = parse_cube_text(f"1\n{len(tokens)}\nfloat\n" + " ".join(tokens))
+        assert cube.values.tobytes() == values.tobytes()
+
+    def test_numpy_1_parse_warning_declined(self, monkeypatch):
+        """numpy 1.x warns at a byte it cannot read and returns the values
+        before it; under the default filters that warning is not an error."""
+        read = np.fromstring
+
+        def numpy_1(raw, dtype, sep):
+            warnings.warn("string or file could not be read to its end", DeprecationWarning)
+            return read(raw.split(b"x")[0], dtype=dtype, sep=sep)
+
+        monkeypatch.setattr(np, "fromstring", numpy_1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            assert _parse_numbers("1 2x", "int") is None
+            with pytest.raises(ValueError, match="line 4: value 2 is not a valid int: '2x'"):
+                parse_cube_text("1\n2\nint\n1 2x\n")
+
+    def test_token_path_only_where_declined(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(formats, "_parse_cube_tokens", lambda text: calls.append(text))
+        parse_cube_text("2\n2 2\nint\n1 -2\n+3 4\n")
+        parse_cube_text("1\n3\nfloat\n-0.0 1e-300 7\n")
+        # Every byte both parsers skip as whitespace separates tokens.
+        parse_cube_text("2\n3 2\nint\n1\t2\r3\x0b4\x0c5\r\n6\r\n")
+        assert calls == []
+        parse_cube_text("1\n2\nint\n1 -\n")
+        assert len(calls) == 1
+
+
+#: Tokens and separators the differential test mixes: valid numbers of both
+#: kinds, each fallback case and bytes either parser might read differently.
+ODD_TOKENS = ["-", "+", "-0", "+7", "007", "1_0", "1e3", "1.", ".5", "-.5e-3", "0x10", "nan", "nan(1)",
+              "inf", "-Infinity", "1e400", "9223372036854775807", "-9223372036854775808",
+              "9223372036854775808", "\u0661", "1-2", "--1", "2x", "\x00", "5e-324"]
+SEPARATORS = [" ", "  ", "\t", "\n", "\r\n", "\x0b", "\x0c", "\x1c", "\x1f", "\xa0", "\u2003", "\x00", ""]
+
+
+@st.composite
+def cube_texts(draw):
+    kind = draw(st.sampled_from(["int", "float"]))
+    count = draw(st.integers(1, 6))
+    number = (
+        st.integers(-(2**64), 2**64).map(str)
+        if kind == "int"
+        else st.floats(allow_nan=False).map(repr)
+    )
+    tokens = draw(st.lists(st.one_of(number, st.sampled_from(ODD_TOKENS)), min_size=count - 1, max_size=count + 1))
+    body = ""
+    for tok in tokens:
+        body += tok + draw(st.sampled_from(SEPARATORS))
+    return f"1\n{count}\n{kind}\n{body}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(cube_texts())
+def test_fast_parse_matches_token_path(text):
+    same_outcome(text)
+    kind, body = text.split("\n", 3)[2:]
+    values = _parse_numbers(body, kind)
+    if values is not None:
+        convert = int if kind == "int" else float
+        expected = np.array([convert(tok) for tok in body.split()], dtype=values.dtype)
+        assert values.tobytes() == expected.tobytes()
 
 
 class TestRoundTrip:

@@ -10,6 +10,7 @@ from rangecube import MAX, MIN, QueryBox, brute_force_range, make_cube
 from rangecube.rmq import (
     DimensionGrouping,
     SparseTable,
+    _ranks,
     constrained_boxes,
     grouped_base_case,
 )
@@ -357,3 +358,49 @@ class TestRankSpace:
             answers = table.query_many(*box_arrays(boxes)).tolist()
             answers += [table.query(b) for b in boxes] + [table.block_value((0, 0), (0, 1))]
             assert [repr(a) for a in answers if a == 0] == [kept] * sum(a == 0 for a in answers)
+
+
+#: Cubes on both sides of the counting bound (value span at most the cell
+#: count), and cubes only ``np.unique`` ranks.
+RANK_CASES = {
+    "span=cells": np.array([[3, 7, 5], [4, 6, 8]]),
+    "span=cells+1": np.array([[3, 7, 5], [4, 6, 9]]),
+    "span=cells-at-int64-min": np.array([-2**63 + 3, -2**63, -2**63 + 1, -2**63]),
+    "span=cells+1-at-int64-max": np.array([2**63 - 4, 2**63 - 1, 2**63 - 1]),
+    "single-value": np.full((3, 2), -5),
+    "single-cell": np.array([2**63 - 1]),
+    "full-range-int64": np.array([[-2**63, 2**63 - 1], [0, -2**63]]),
+    "floats": np.array([[0.5, -0.0, 0.0], [2.0, 0.5, -1e300]]),
+    "integral-floats": np.array([1.0, 3.0, 2.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("values", RANK_CASES.values(), ids=RANK_CASES.keys())
+def test_ranks_equal_np_unique(values):
+    distinct, inverse = _ranks(values)
+    want_distinct, want_inverse = np.unique(values, return_inverse=True)
+    assert distinct.dtype == want_distinct.dtype and inverse.dtype == want_inverse.dtype
+    assert np.array_equal(distinct, want_distinct)
+    assert np.array_equal(inverse.reshape(values.shape), want_inverse.reshape(values.shape))
+    table = SparseTable(make_cube(values.shape, values))
+    assert np.array_equal(table.distinct, want_distinct)
+    ranks = want_inverse.reshape(values.shape).astype(np.min_scalar_type(len(want_distinct) - 1))
+    level0 = table.tables[(0,) * values.ndim]
+    assert level0.dtype == ranks.dtype and np.array_equal(level0, ranks)
+
+
+@pytest.mark.parametrize("values, counted", [
+    (RANK_CASES["span=cells"], True),
+    (RANK_CASES["span=cells+1"], False),
+    (RANK_CASES["single-value"], True),
+    (RANK_CASES["full-range-int64"], False),
+    (RANK_CASES["integral-floats"], False),
+])
+def test_ranks_sort_only_past_the_counting_bound(monkeypatch, values, counted):
+    """Counting allocates a presence array as long as the value span, so it
+    runs only where that span is at most the cell count."""
+    sorts = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *args, **kw: sorts.append(1) or unique(*args, **kw))
+    _ranks(values)
+    assert sorts == ([] if counted else [1])
