@@ -507,29 +507,52 @@ def _quiet(values: np.ndarray):
     return np.errstate(over="ignore", invalid="ignore") if values.dtype.kind == "f" else _NO_ERRSTATE
 
 
-def _prefix_table(values: np.ndarray, op: AggregateOp) -> np.ndarray:
-    """Prefix aggregates of ``values``: one ``op`` accumulate per axis."""
-    with _quiet(values):
+def _padded_prefix_table(op: AggregateOp, values: np.ndarray, dtype=None, factor=None) -> np.ndarray:
+    """Prefix aggregates of ``values`` (times ``factor``, broadcast, where
+    one is given) in a ``dtype`` table padded with one identity plane per
+    axis: entry ``b + 1`` holds the prefix ending at ``b`` and entry 0 of an
+    axis the empty prefix.  One allocation, filled and accumulated in place;
+    :func:`_interior` is the unpadded table."""
+    padded = np.empty([m + 1 for m in values.shape], dtype or values.dtype)
+    table = _interior(padded)
+    with _quiet(padded):
         for axis in range(values.ndim):
-            values = op.ufunc.accumulate(values, axis=axis)
-    return values
+            padded[(slice(None),) * axis + (0,)] = op.identity
+        if factor is None:
+            table[...] = values
+        else:
+            np.multiply(values, factor, out=table)
+        for axis in range(values.ndim):
+            op.ufunc.accumulate(table, axis=axis, out=table)
+    return padded
 
 
-#: For each dimensionality d, one (axes read at ``lo - 1``, enters with a plus
-#: sign) pair per box corner, corner ``mask`` reading ``lo - 1`` on the axes
-#: of its set bits.  The batched reads gather one corner of every box at a
-#: time in this order; a scalar read takes the same corners from
-#: :func:`_corners`, empty prefixes left out.
-_CORNERS = tuple(
-    tuple(
-        (tuple(bool(mask >> j & 1) for j in range(d)), bin(mask).count("1") % 2 == 0)
-        for mask in range(1 << d)
-    )
-    for d in range(MAX_DIMENSIONS + 1)
-)
+def _interior(padded: np.ndarray) -> np.ndarray:
+    """The view of a padded prefix table without its identity planes."""
+    return padded[(slice(1, None),) * padded.ndim]
 
-#: Whether the k-th corner :func:`_corners` yields enters with a plus sign.
-_EVEN = tuple(even for _, even in _CORNERS[MAX_DIMENSIONS])
+
+def _padded_strides(dims: Sequence[int]) -> tuple:
+    """Element strides of the C-ordered padded prefix table of a ``dims`` cube."""
+    return tuple(math.prod(m + 1 for m in dims[j + 1:]) for j in range(len(dims)))
+
+
+def _corner_offsets(strides: Sequence[int], lo, hi):
+    """Flat offsets of the ``2**d`` corners of the box ``[lo, hi]`` in a
+    padded prefix table with element ``strides``: corner ``k`` reads
+    ``lo[j] - 1`` (padded index ``lo[j]``) on the axes of the set bits of k
+    and ``hi[j]`` (padded ``hi[j] + 1``) on the others, and enters with a
+    plus sign where ``_EVEN[k]``.  An empty prefix reads an identity plane.
+    ``lo`` and ``hi`` hold a coordinate per axis, or an array of them (one
+    per box) for a batched read."""
+    picks = [((b + 1) * s, a * s) for s, a, b in zip(strides, lo, hi)]
+    picks.reverse()  # itertools.product varies its last argument fastest
+    return map(sum, itertools.product(*picks))
+
+
+#: Whether the k-th box corner, reading ``lo - 1`` on the axes of the set
+#: bits of k, enters inclusion-exclusion with a plus sign.
+_EVEN = tuple(bin(k).count("1") % 2 == 0 for k in range(1 << MAX_DIMENSIONS))
 
 _REVERSED = operator.itemgetter(slice(None, None, -1))
 
@@ -569,7 +592,7 @@ def _check_fold(op: AggregateOp, *folds) -> None:
 
 
 def _corners(picks: list):
-    """The non-empty corners of a box ``[lo, hi]``, in ``_CORNERS`` order.
+    """The non-empty corners of a box ``[lo, hi]``, in :func:`_corner_offsets` order.
 
     ``picks[j]`` is axis j's pair (what reads ``hi[j]``, what reads
     ``lo[j] - 1``), or only the first where ``lo[j]`` is 0: a corner reading
@@ -582,7 +605,8 @@ def _corners(picks: list):
 
 
 def _fold_corners(op: AggregateOp, values):
-    """Aggregate over a box from the prefix values at its :func:`_corners`.
+    """Aggregate over a box from the prefix values at its corners, in
+    :func:`_corner_offsets` order (or :func:`_corners` order, empty ones left out).
 
     The even- and odd-parity corners are folded separately and joined by one
     inverse; a fold that underflowed cannot be divided back out, and one that
@@ -601,14 +625,6 @@ def _fold_corners(op: AggregateOp, values):
     return answer
 
 
-def _prefix_box(op: AggregateOp, table: np.ndarray, lo, hi):
-    """Aggregate over the box ``[lo, hi]`` of a prefix table, one
-    ``table.item`` read per non-empty corner.  (A corner tuple reads as fast
-    as a flat offset, which would also need the strides and a sum.)"""
-    picks = [(b, a - 1) if a else (b,) for a, b in zip(lo, hi)]
-    return _fold_corners(op, map(table.item, _corners(picks)))
-
-
 class PrefixCube:
     """Prefix-aggregate table answering box queries in ``2**d`` lookups.
 
@@ -623,7 +639,10 @@ class PrefixCube:
         _check_table_domain(cube.values, op, "prefix cube")
         self.op = op
         self.dims = cube.dims
-        self.table = _prefix_table(cube.values, op)
+        self._padded = _padded_prefix_table(op, cube.values)
+        self._strides = _padded_strides(cube.dims)
+        self._item = self._padded.item  # one attribute read per scalar query
+        self.table = _interior(self._padded)
         if op.name == "product":
             _check_normal_products(self.table, "the build leaves")
         # Only a float sum's bound reads the cells' magnitudes.
@@ -641,30 +660,28 @@ class PrefixCube:
 
     def range_aggregate(self, box: QueryBox):
         box.validate_for(self.dims)
-        value = _prefix_box(self.op, self.table, box.lo, box.hi)
-        # Empty-prefix corners count as lookups too.
+        corners = _corner_offsets(self._strides, box.lo, box.hi)
+        value = _fold_corners(self.op, map(self._item, corners))
         self.lookups_last_query = 1 << len(self.dims)
         return value
 
     def range_aggregate_many(self, lo, hi) -> np.ndarray:
         """Answers for the boxes ``[lo[i], hi[i]]`` of two N x d integer arrays.
 
-        One fancy-index gather per corner answers every box.  Answer ``i``
-        equals ``range_aggregate(QueryBox(lo[i], hi[i]))`` after ``.tolist()``:
-        corners fold in the same order, empty corners are skipped, and the
-        same fold check rejects a batch holding one box that it rejects.
-        Afterwards :attr:`lookups_last_query` holds the per-box count.
+        One gather per corner answers every box.  Answer ``i`` equals
+        ``range_aggregate(QueryBox(lo[i], hi[i]))`` after ``.tolist()``:
+        corners fold in the same order, and the same fold check rejects a
+        batch holding one box that it rejects.  Afterwards
+        :attr:`lookups_last_query` holds the per-box count.
         """
-        op, table = self.op, self.table
+        op, flat = self.op, self._padded.reshape(-1)
         lo, hi = _check_boxes(lo, hi, self.dims)
-        below = lo - 1  # -1 marks an empty prefix; its gather is discarded
-        keep = np.full(len(lo), op.identity, dtype=table.dtype)
+        keep = np.full(len(lo), op.identity, dtype=flat.dtype)
         drop = keep.copy()
-        with _quiet(table):
-            for low, even in _CORNERS[len(self.dims)]:
-                value = table[tuple(below[:, j] if x else hi[:, j] for j, x in enumerate(low))]
+        with _quiet(flat):
+            for offsets, even in zip(_corner_offsets(self._strides, lo.T, hi.T), _EVEN):
                 fold = keep if even else drop
-                np.copyto(fold, op.ufunc(fold, value), where=(below[:, list(low)] >= 0).all(axis=1))
+                op.ufunc(fold, flat[offsets], out=fold)
             _check_fold(op, keep, drop)
             answers = op.inverse_ufunc(keep, drop)
         _check_fold(op, answers)

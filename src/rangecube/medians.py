@@ -8,8 +8,9 @@ Three families of operations:
   endpoint).  Augmenting the input with a zero-weight point at ``x + L`` per
   original point makes some augmented coordinate the right endpoint of every
   interval in an optimal solution, and a two-state DP over the 2n points
-  solves the problem; a convex-hull deque brings it to O(nK).  The
-  unoptimised O(n^2 K) evaluation of the same recurrences is kept as
+  solves the problem; two monotone convex hulls of lines, each read from a
+  head that only moves right, bring it to O(nK).  The unoptimised O(n^2 K)
+  evaluation of the same recurrences is kept as
   :func:`interval_k_median_naive` for differential testing.
 * **Hyper-rectangle 1-median**: the d-dimensional axis-aligned variant under
   the L1 metric decomposes into d independent 1-dimensional problems.
@@ -25,8 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,10 +39,14 @@ from .cube import (
     _INT64_MIN,
     DataCube,
     QueryBox,
+    _EVEN,
+    _check_fold,
     _check_sum_bound,
-    _prefix_box,
-    _prefix_table,
-    _quiet,
+    _corner_offsets,
+    _fold_corners,
+    _interior,
+    _padded_prefix_table,
+    _padded_strides,
     _round_once,
 )
 
@@ -66,6 +70,17 @@ __all__ = [
 ]
 
 _INF = math.inf
+
+
+class _Result:
+    """Base of the frozen, slotted result records: no per-answer ``__dict__``."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__; on Python 3.10 a frozen
+        # slotted dataclass's slots cannot be restored by plain setattr.
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -112,70 +127,40 @@ class AugmentedPoints:
 
 
 def augment_points(pts: WeightedPoints1D, length) -> AugmentedPoints:
-    entries = [(x, 0, w, None) for x, w in zip(pts.xs, pts.ws)]
-    entries += [(x + length, 1, 0, i) for i, x in enumerate(pts.xs)]
-    entries.sort(key=lambda t: (t[0], t[1]))
-    xs = tuple(e[0] for e in entries)
-    ws = tuple(e[2] for e in entries)
-    added_from = tuple(e[3] for e in entries)
+    if length < 0:
+        raise ValueError(f"interval length must be >= 0, got {length}")
+    originals, weights = pts.xs, pts.ws
+    n = len(originals)
+    twins = [x + length for x in originals]
+    xs, ws, added_from = [], [], []
+    # Merge the two sorted runs, an original before a twin at equal x.  Twin
+    # k is at or right of original k, so the originals run out first.
+    i = k = 0
+    while i < n:
+        if originals[i] <= twins[k]:
+            xs.append(originals[i])
+            ws.append(weights[i])
+            added_from.append(None)
+            i += 1
+        else:
+            xs.append(twins[k])
+            ws.append(0)
+            added_from.append(k)
+            k += 1
+    xs += twins[k:]
+    ws += [0] * (n - k)
+    added_from += range(k, n)
     pleft = []
     p = 0
-    for i, x in enumerate(xs):
+    for x in xs:
         while x - xs[p] > length:
             p += 1
         pleft.append(p)
-    return AugmentedPoints(xs, ws, added_from, tuple(pleft))
+    return AugmentedPoints(tuple(xs), tuple(ws), tuple(added_from), tuple(pleft))
 
 
-class _LineDeque:
-    """Lower envelope of lines with nonincreasing slopes, queried left to right.
-
-    Comparisons use cross-multiplication only, so integer inputs stay exact.
-    """
-
-    __slots__ = ("lines", "pushes", "pops")
-
-    def __init__(self):
-        self.lines = deque()
-        self.pushes = 0
-        self.pops = 0
-
-    def push(self, slope, intercept, tag):
-        # infinite-cost states must be filtered out by the caller, never
-        # folded into line arithmetic
-        assert intercept != _INF and slope != _INF
-        lines = self.lines
-        if lines and lines[-1][0] == slope:
-            if lines[-1][1] <= intercept:
-                return
-            lines.pop()
-            self.pops += 1
-        while len(lines) >= 2:
-            m1, b1, _ = lines[-2]
-            m2, b2, _ = lines[-1]
-            # the middle line never wins once the new one takes over
-            if (intercept - b1) * (m1 - m2) <= (b2 - b1) * (m1 - slope):
-                lines.pop()
-                self.pops += 1
-            else:
-                break
-        lines.append((slope, intercept, tag))
-        self.pushes += 1
-
-    def query(self, t):
-        lines = self.lines
-        while len(lines) >= 2 and lines[1][0] * t + lines[1][1] <= lines[0][0] * t + lines[0][1]:
-            lines.popleft()
-            self.pops += 1
-        slope, intercept, tag = lines[0]
-        return slope * t + intercept, tag
-
-    def __bool__(self) -> bool:
-        return bool(self.lines)
-
-
-@dataclass(frozen=True)
-class IntervalKMedianResult:
+@dataclass(frozen=True, slots=True)
+class IntervalKMedianResult(_Result):
     cost: object
     intervals: tuple
     deque_pushes: int
@@ -186,14 +171,12 @@ def interval_k_median(pts: WeightedPoints1D, count: int, length) -> IntervalKMed
     """Optimal placement of at most ``count`` length-``length`` intervals.
 
     Returns the minimum total weighted point-to-interval distance together
-    with a witness placement achieving it.  Runs the deque-optimised DP over
-    the 2n augmented points in O(nK); deque traffic is reported in the result
-    for complexity assertions.
+    with a witness placement achieving it.  Runs the hull-optimised DP over
+    the 2n augmented points in O(nK); hull traffic (lines pushed and popped)
+    is reported in the result for complexity assertions.
     """
     if count < 1:
         raise ValueError(f"interval count must be >= 1, got {count}")
-    if length < 0:
-        raise ValueError(f"interval length must be >= 0, got {length}")
     aug = augment_points(pts, length)
     xs, ws, pleft = aug.xs, aug.ws, aug.pleft
     n2 = len(xs)
@@ -201,44 +184,87 @@ def interval_k_median(pts: WeightedPoints1D, count: int, length) -> IntervalKMed
     wxsum = list(itertools.accumulate((w * x for w, x in zip(ws, xs)), initial=0))
     x1 = [None] + list(xs)                                    # 1-based coordinates
 
+    # Two lower envelopes of lines with nonincreasing slopes, queried left to
+    # right: lines head..top-1 of parallel slope/intercept/tag lists.  Left
+    # holds candidates p for a new interval's left side, right candidates p
+    # charging points rightwards.  Comparisons use cross-multiplication only,
+    # so integer inputs stay exact.  No layer pushes more than n2 lines.
+    lm, lb, lt = [0] * n2, [0] * n2, [0] * n2
+    rm, rb, rt = [0] * n2, [0] * n2, [0] * n2
     d1_prev = [0] + [_INF] * n2                               # zero intervals placed
     best_cost = None
     best_j = None
-    finals = []
     par0 = [[0] * (n2 + 1) for _ in range(count + 1)]
     par1 = [[0] * (n2 + 1) for _ in range(count + 1)]
     pushes = pops = 0
     for j in range(1, count + 1):
         d0 = [0] + [_INF] * n2
         d1 = [0] + [_INF] * n2
-        left_dq = _LineDeque()   # candidates p for a new interval's left side
-        right_dq = _LineDeque()  # candidates p charging points rightwards
+        p0, p1 = par0[j], par1[j]
+        lhead = ltop = rhead = rtop = 0
         inserted = 0
         for i in range(1, n2 + 1):
             pl = pleft[i - 1] + 1                             # 1-based pleft
             while inserted < pl:
                 p = inserted
-                if d1_prev[p] != _INF:
-                    left_dq.push(-wsum[p], d1_prev[p] + wxsum[p], p)
                 inserted += 1
-            if left_dq:
+                if d1_prev[p] == _INF:                        # infinite costs make no line
+                    continue
+                slope, intercept = -wsum[p], d1_prev[p] + wxsum[p]
+                if ltop > lhead and lm[ltop - 1] == slope:
+                    if lb[ltop - 1] <= intercept:
+                        continue
+                    ltop -= 1
+                    pops += 1
+                while ltop - lhead >= 2:
+                    m1, b1 = lm[ltop - 2], lb[ltop - 2]
+                    # the middle line never wins once the new one takes over
+                    if (intercept - b1) * (m1 - lm[ltop - 1]) <= (lb[ltop - 1] - b1) * (m1 - slope):
+                        ltop -= 1
+                        pops += 1
+                    else:
+                        break
+                lm[ltop], lb[ltop], lt[ltop] = slope, intercept, p
+                ltop += 1
+                pushes += 1
+            if ltop > lhead:
                 t = x1[i] - length
-                value, p = left_dq.query(t)
-                d0[i] = value + t * wsum[pl - 1] - wxsum[pl - 1]
-                par0[j][i] = p
+                while ltop - lhead >= 2 and lm[lhead + 1] * t + lb[lhead + 1] <= lm[lhead] * t + lb[lhead]:
+                    lhead += 1
+                    pops += 1
+                d0[i] = lm[lhead] * t + lb[lhead] + t * wsum[pl - 1] - wxsum[pl - 1]
+                p0[i] = lt[lhead]
             if d0[i] != _INF:
-                right_dq.push(-x1[i], d0[i] - wxsum[i] + x1[i] * wsum[i], i)
-            if right_dq:
-                value, p = right_dq.query(wsum[i])
-                d1[i] = value + wxsum[i]
-                par1[j][i] = p
-        finals.append(d1[n2])
+                slope, intercept = -x1[i], d0[i] - wxsum[i] + x1[i] * wsum[i]
+                push = True
+                if rtop > rhead and rm[rtop - 1] == slope:
+                    if rb[rtop - 1] <= intercept:
+                        push = False
+                    else:
+                        rtop -= 1
+                        pops += 1
+                while push and rtop - rhead >= 2:
+                    m1, b1 = rm[rtop - 2], rb[rtop - 2]
+                    if (intercept - b1) * (m1 - rm[rtop - 1]) <= (rb[rtop - 1] - b1) * (m1 - slope):
+                        rtop -= 1
+                        pops += 1
+                    else:
+                        break
+                if push:
+                    rm[rtop], rb[rtop], rt[rtop] = slope, intercept, i
+                    rtop += 1
+                    pushes += 1
+            if rtop > rhead:
+                t = wsum[i]
+                while rtop - rhead >= 2 and rm[rhead + 1] * t + rb[rhead + 1] <= rm[rhead] * t + rb[rhead]:
+                    rhead += 1
+                    pops += 1
+                d1[i] = rm[rhead] * t + rb[rhead] + wxsum[i]
+                p1[i] = rt[rhead]
         if best_cost is None or d1[n2] < best_cost:
             best_cost = d1[n2]
             best_j = j
         d1_prev = d1
-        pushes += left_dq.pushes + right_dq.pushes
-        pops += left_dq.pops + right_dq.pops
 
     assert best_cost != _INF
     intervals = []
@@ -256,13 +282,11 @@ def interval_k_median_naive(pts: WeightedPoints1D, count: int, length):
     """Reference O(n^2 K) evaluation of the same two-state recurrences.
 
     Candidate minima are evaluated directly over every predecessor instead of
-    through the deque envelope; used as the differential oracle for
+    through the hull envelope; used as the differential oracle for
     :func:`interval_k_median`.
     """
     if count < 1:
         raise ValueError(f"interval count must be >= 1, got {count}")
-    if length < 0:
-        raise ValueError(f"interval length must be >= 0, got {length}")
     aug = augment_points(pts, length)
     n2 = len(aug.xs)
     xs = np.array((0,) + aug.xs, dtype=np.float64)
@@ -296,8 +320,8 @@ def interval_k_median_naive(pts: WeightedPoints1D, count: int, length):
     return best
 
 
-@dataclass(frozen=True)
-class Interval1MedianResult:
+@dataclass(frozen=True, slots=True)
+class Interval1MedianResult(_Result):
     cost: object
     right_endpoint: object
     #: Minimum over endpoint positions of max(left cost, right cost);
@@ -312,8 +336,6 @@ def interval_1_median(pts: WeightedPoints1D, length) -> Interval1MedianResult:
     while the sweep maintains the total weight and weighted distance of the
     points on each side.
     """
-    if length < 0:
-        raise ValueError(f"interval length must be >= 0, got {length}")
     aug = augment_points(pts, length)
     xs, ws, added_from = aug.xs, aug.ws, aug.added_from
     orig_ws = pts.ws
@@ -343,8 +365,8 @@ def interval_1_median(pts: WeightedPoints1D, length) -> Interval1MedianResult:
     return Interval1MedianResult(wdm, best_x, wdc if length == 0 else None)
 
 
-@dataclass(frozen=True)
-class HyperrectMedianResult:
+@dataclass(frozen=True, slots=True)
+class HyperrectMedianResult(_Result):
     corner: tuple
     cost: object
     per_dimension: tuple
@@ -476,9 +498,9 @@ class CubeMedianIndex:
 
     The weight cube's prefix sums give slab weights; one additional prefix-sum
     cube per dimension, built over the coordinate-scaled cube
-    ``scale[j][c_j] * weight(c)``, gives the weighted-distance sums.  All
-    derived quantities then cost O(2^d) prefix lookups, counted as one
-    RangeSum probe each in :attr:`rangesum_probes_last_query`.
+    ``scale[j][c_j] * weight(c)``, gives the weighted-distance sums.  Each
+    slab sum the search asks for counts as one RangeSum probe in
+    :attr:`rangesum_probes_last_query`; it reads ``2**(d-1)`` prefix entries.
 
     Int weights with int scales are summed exactly in int64; the build
     rejects them with a ``ValueError`` once peak weight * cell count * peak
@@ -528,36 +550,31 @@ class CubeMedianIndex:
                 if not _INT64_MIN <= scale[0] <= scale[-1] <= _INT64_MAX:
                     raise ValueError(f"scale list {j} holds an int past int64")
         dtype = np.int64 if exact else np.float64
-        values = cube.values.astype(dtype)
+        # Each table has one identity plane per axis; ps_cube and psd_cubes
+        # are their interiors.
+        self._weights = _padded_prefix_table(SUM, cube.values, dtype)
+        self._scaled = []
+        for j, scale in enumerate(scales):
+            shape = [1] * cube.ndim
+            shape[j] = cube.dims[j]
+            factor = np.array(scale, dtype=dtype).reshape(shape)
+            self._scaled.append(_padded_prefix_table(SUM, cube.values, dtype, factor))
+        self._strides = _padded_strides(cube.dims)
+        self.ps_cube = _interior(self._weights)
+        self.psd_cubes = [_interior(t) for t in self._scaled]
         #: 0 when exact, else 64 * cells * eps * W * peak |scale| capped at the
         #: largest float, W the whole cube's weight: costs read whole-cube sums.
         self.cost_error_bound = 0.0
         if not exact:
             peak = max(abs(float(x)) for scale in scales for x in (scale[0], scale[-1]))
-            with _quiet(values):
-                bound = 64 * cube.size * _EPS * float(values.sum()) * peak
+            bound = 64 * cube.size * _EPS * self._weights.item(-1) * peak
             # nan (an overflowed W times a zero peak) caps as inf does
             self.cost_error_bound = bound if bound < _FLOAT_MAX else _FLOAT_MAX
-        self.ps_cube = _prefix_table(values, SUM)
-        self.psd_cubes = []
-        for j, scale in enumerate(scales):
-            shape = [1] * cube.ndim
-            shape[j] = cube.dims[j]
-            factor = np.array(scale, dtype=dtype).reshape(shape)
-            with _quiet(values):
-                self.psd_cubes.append(_prefix_table(values * factor, SUM))
         self.rangesum_probes_last_query = 0
 
-    def range_sum(self, table: np.ndarray, lo: Sequence[int], hi: Sequence[int]):
-        """Inclusion-exclusion box sum over one prefix table (one probe)."""
-        self.rangesum_probes_last_query += 1
-        if any(a > b for a, b in zip(lo, hi)):
-            return 0
-        return _prefix_box(SUM, table, lo, hi)
 
-
-@dataclass(frozen=True)
-class CubeMedianResult:
+@dataclass(frozen=True, slots=True)
+class CubeMedianResult(_Result):
     indices: tuple
     location: tuple
     cost: object
@@ -567,32 +584,61 @@ def cube_range_weighted_median(idx: CubeMedianIndex, box: QueryBox) -> CubeMedia
     """L1 median of the weighted points inside ``box`` and its total cost.
 
     Solves one slab-weighted 1D median per dimension in O(d log n) RangeSum
-    probes; the box must contain positive weight.
+    probes; the box must contain positive weight.  Along dimension j a slab
+    ``[i, p]`` sum is ``S(p + 1) - S(i)``, where ``S(x)`` folds the signed
+    corners of the other axes at padded index x of axis j.  Those corner
+    offsets and the endpoint prefixes ``S(a)``, ``S(b + 1)`` (and their
+    scaled twins) are read once per dimension, so each probe reads only the
+    prefix that moves.
     """
     box.validate_for(idx.dims)
-    idx.rangesum_probes_last_query = 0
-    if idx.range_sum(idx.ps_cube, box.lo, box.hi) <= 0:
+    lo, hi, strides = box.lo, box.hi, idx._strides
+    weights = idx._weights.item
+    idx.rangesum_probes_last_query = 1
+    if _fold_corners(SUM, map(weights, _corner_offsets(strides, lo, hi))) <= 0:
         raise ValueError("median undefined: query box has no positive weight")
+    # A non-finite float probe means a prefix sum overflowed: reject it as
+    # the fold check of a box read does.
+    check = idx._weights.dtype.kind == "f"
     indices = []
     total_cost = 0
     for j in range(len(idx.dims)):
-        a, b = box.lo[j], box.hi[j]
+        a, b, s = lo[j], hi[j], strides[j]
         scale = idx.scales[j]
+        scaled = idx._scaled[j].item
+        others = [k for k in range(len(idx.dims)) if k != j]
+        plus, minus = [], []
+        corners = _corner_offsets(
+            [strides[k] for k in others], [lo[k] for k in others], [hi[k] for k in others]
+        )
+        for o, even in zip(corners, _EVEN):
+            (plus if even else minus).append(o)
 
-        def slab(table, i, p):
-            lo = list(box.lo)
-            hi = list(box.hi)
-            lo[j], hi[j] = i, p
-            return idx.range_sum(table, lo, hi)
+        def moving(item, x):
+            base = x * s
+            total = 0
+            for o in plus:
+                total += item(o + base)
+            for o in minus:
+                total -= item(o + base)
+            return total
+
+        s_a, s_b = moving(weights, a), moving(weights, b + 1)
+        t_a, t_b = moving(scaled, a), moving(scaled, b + 1)
 
         def balance(r):
-            return slab(idx.ps_cube, r + 1, b) - slab(idx.ps_cube, a, r - 1)
+            idx.rangesum_probes_last_query += 2
+            right, left = s_b - moving(weights, r + 1), moving(weights, r) - s_a
+            if check:
+                _check_fold(SUM, right, left)
+            return right - left
 
         def cost(r):
-            w_left = slab(idx.ps_cube, a, r)
-            d_left = slab(idx.psd_cubes[j], a, r)
-            w_right = slab(idx.ps_cube, r, b)
-            d_right = slab(idx.psd_cubes[j], r, b)
+            idx.rangesum_probes_last_query += 4
+            w_left, d_left = moving(weights, r + 1) - s_a, moving(scaled, r + 1) - t_a
+            w_right, d_right = s_b - moving(weights, r), t_b - moving(scaled, r)
+            if check:
+                _check_fold(SUM, w_left, d_left, w_right, d_right)
             return (w_left * scale[r] - d_left) + (d_right - w_right * scale[r])
 
         r_opt, cost_j = _median_search(a, b, balance, cost)

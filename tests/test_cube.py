@@ -339,6 +339,40 @@ class TestRangeAggregateMany:
         got = pc.range_aggregate_many(*box_arrays(boxes)).tolist()
         assert list(map(repr, got)) == [repr(pc.range_aggregate(b)) for b in boxes]
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_boxes_at_lo_zero_match_scalar(self, d):
+        # A box with lo = 0 on an axis reads that axis's empty prefix.
+        rng = random.Random(900 + d)
+        dims = [rng.randint(2, 5) for _ in range(d)]
+        n = math.prod(dims)
+        ints = make_cube(dims, [rng.randint(-100, 100) for _ in range(n)])
+        floats = make_cube(dims, [rng.choice((-1, 1)) * rng.uniform(0.5, 2.0) for _ in range(n)])
+        boxes = []
+        for mask in range(1 << d):
+            for _ in range(3):
+                box = random_box(rng, dims)
+                boxes.append(QueryBox([0 if mask >> j & 1 else a for j, a in enumerate(box.lo)], box.hi))
+        lo, hi = box_arrays(boxes)
+        for cube, op in ((ints, SUM), (ints, XOR), (floats, PRODUCT)):
+            pc = PrefixCube(cube, op)
+            got = pc.range_aggregate_many(lo, hi).tolist()
+            assert list(map(repr, got)) == [repr(pc.range_aggregate(b)) for b in boxes]
+            expected = [brute_force_range(cube, b, op) for b in boxes]
+            if cube.kind == "int":
+                assert got == expected
+            else:
+                assert all(math.isclose(g, e, rel_tol=1e-9) for g, e in zip(got, expected))
+
+    def test_float_sum_zero_answer_is_positive(self):
+        # Every box here sums to zero exactly; both reads answer +0.0.
+        cube = make_cube([2, 2, 2], [1.5, -1.5, -0.0, -0.0, -2.25, 2.25, -0.0, 0.0])
+        pc = PrefixCube(cube, SUM)
+        boxes = [QueryBox([0, 0, 0], [1, 1, 1]), QueryBox([0, 1, 0], [1, 1, 1]),
+                 QueryBox([1, 0, 0], [1, 0, 1]), QueryBox([0, 0, 0], [0, 0, 1]),
+                 QueryBox([0, 1, 1], [0, 1, 1])]
+        got = pc.range_aggregate_many(*box_arrays(boxes)).tolist()
+        assert list(map(repr, got)) == [repr(pc.range_aggregate(b)) for b in boxes] == ["0.0"] * 5
+
     def test_int_sum_matches_where_scalar_fits_int64(self):
         # A table that could wrap past 2**63 is rejected at build; at the
         # bound's edge every batched answer equals the scalar one and the scan.

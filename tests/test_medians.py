@@ -1,7 +1,9 @@
 """Tests for interval K-medians, the sweep 1-median and range weighted medians."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -71,6 +73,27 @@ def brute_force_k1(xs, ws, length):
     return min(interval_cost(xs, ws, [(b - length, b)]) for b in candidates)
 
 
+class TestResultRecords:
+    def test_slotted_results_copy_and_pickle(self):
+        pts = WeightedPoints1D([0, 4, 10], [1, 2, 1])
+        cube = make_cube([2, 2], [1, 2, 3, 4])
+        idx = CubeMedianIndex(cube, [[0, 1], [0, 5]])
+        results = [
+            interval_k_median(pts, 2, 1),
+            interval_1_median(pts, 0),
+            hyperrect_1_median([(0, 1), (4, 2)], [1, 3], [1, 0]),
+            cube_range_weighted_median(idx, QueryBox.full(cube.dims)),
+        ]
+        for res in results:
+            assert not hasattr(res, "__dict__")
+            # Rebuilt through __init__, which Python 3.10 needs for frozen slots.
+            assert res.__reduce_ex__(2)[0] is type(res)
+            for twin in (copy.copy(res), copy.deepcopy(res), pickle.loads(pickle.dumps(res))):
+                assert type(twin) is type(res) and twin == res and hash(twin) == hash(res)
+            with pytest.raises(AttributeError):
+                res.cost = 0
+
+
 class TestAugment:
     def test_counts_and_pleft(self):
         pts = WeightedPoints1D([0, 4, 10], [1, 1, 1])
@@ -82,6 +105,27 @@ class TestAugment:
             p = aug.pleft[i]
             assert x - aug.xs[p] <= 4
             assert p == 0 or x - aug.xs[p - 1] > 4
+
+    def test_merge_matches_keyed_sort(self):
+        # Ties at equal x (duplicates, twins landing on originals, int 2 and
+        # float 2.0) keep an original before a twin, each in input order.
+        rng = random.Random(23)
+        for _ in range(80):
+            n = rng.randint(1, 12)
+            xs = sorted(rng.choice([rng.randint(0, 8), rng.randint(0, 16) / 2]) for _ in range(n))
+            ws = [rng.randint(0, 3) for _ in range(n)]
+            length = rng.choice([0, 1, 2.5, 3])
+            entries = [(x, 0, w, None) for x, w in zip(xs, ws)]
+            entries += [(x + length, 1, 0, i) for i, x in enumerate(xs)]
+            entries.sort(key=lambda t: (t[0], t[1]))
+            aug = augment_points(WeightedPoints1D(xs, ws), length)
+            assert list(map(repr, aug.xs)) == [repr(e[0]) for e in entries]
+            assert aug.ws == tuple(e[2] for e in entries)
+            assert aug.added_from == tuple(e[3] for e in entries)
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="interval length must be >= 0, got -1"):
+            augment_points(WeightedPoints1D([0, 1], [1, 1]), -1)
 
 
 class TestIntervalKMedian:
@@ -507,3 +551,149 @@ class TestCubeMedian:
         # evaluations of 4 RangeSums each; plus the positivity check
         budget = 3 * (2 * math.ceil(math.log2(6)) + 8) + 1
         assert idx.rangesum_probes_last_query <= budget
+
+
+def kmedian_pin_instances():
+    """Seeded K-median instances: zero weights (one all-zero set), duplicate
+    and float coordinates, L = 0 and K from 1 to 5."""
+    rng = random.Random(2029)
+    for case in range(12):
+        n = rng.randint(1, 9)
+        if case % 3 == 2:
+            xs = sorted(round(rng.uniform(0, 30), 2) for _ in range(n))
+        else:
+            xs = sorted(rng.randint(0, 12 if case % 3 == 1 else 60) for _ in range(n))
+        ws = [rng.choice([0, 0, 1, 2, 5, 9]) for _ in range(n)]
+        if case == 5:
+            ws = [0] * n
+        yield xs, ws, 1 + case % 5, (0, 0, 2, 3.5, 10)[case % 5]
+
+
+def cube_median_pin_cases():
+    """Seeded cubes at d = 1..4, each with int and with float scales, and
+    boxes on the ``lo = 0`` and ``hi = m - 1`` edge of every axis."""
+    rng = random.Random(1997)
+    for dims in ([7], [5, 4], [3, 4, 3], [3, 2, 3, 2]):
+        values = [rng.randint(0, 9) for _ in range(math.prod(dims))]
+        int_scales = [sorted(rng.sample(range(-20, 60), m)) for m in dims]
+        float_scales = [sorted(round(rng.uniform(-5, 20), 3) for _ in range(m)) for m in dims]
+        boxes = [QueryBox.full(dims)]
+        for j, m in enumerate(dims):
+            for edge in ("lo", "hi"):
+                lo = [rng.randint(0, k - 1) for k in dims]
+                hi = [rng.randint(a, k - 1) for a, k in zip(lo, dims)]
+                if edge == "lo":
+                    lo[j] = 0
+                else:
+                    hi[j] = m - 1
+                boxes.append(QueryBox(lo, hi))
+        for scales in (int_scales, float_scales):
+            for box in boxes:
+                yield make_cube(dims, values), scales, box
+
+
+# (cost, intervals, deque_pushes, deque_pops) of each kmedian_pin_instances().
+PINNED_KMEDIANS = [
+    (439, ((47, 47),), 8, 4),
+    (0, ((3, 3), (8, 8)), 18, 12),
+    (0.0, ((6.529999999999999, 8.53), (20.71, 22.71)), 17, 10),
+    (0.0, ((2.5, 6), (10.5, 14), (38.0, 41.5)), 45, 34),
+    (0, ((-3, 7), (12, 22)), 77, 63),
+    (0.0, ((25.81, 25.81),), 7, 5),
+    (0, ((47, 47),), 11, 6),
+    (1, ((3, 5), (6, 8), (10, 12)), 48, 33),
+    (0.0, ((5.18, 8.68), (28.44, 31.94)), 23, 14),
+    (0, ((49, 59),), 63, 51),
+    (112, ((3, 3),), 6, 1),
+    (107.0100000000001, ((5.75, 5.75), (21.04, 21.04)), 26, 14),
+]
+
+# ((indices, location, cost), rangesum_probes_last_query) of each
+# cube_median_pin_cases().
+PINNED_CUBE_MEDIANS = [
+    (((4,), (16,), 323), 15),
+    (((2,), (9,), 99), 13),
+    (((5,), (31,), 70), 13),
+    (((4,), (15.049,), 82.61100000000002), 15),
+    (((2,), (12.591,), 38.33799999999999), 13),
+    (((5,), (17.691,), 8.90100000000001), 13),
+    (((2, 1), (13, 27), 2128), 25),
+    (((2, 2), (13, 28), 969), 23),
+    (((3, 3), (33, 52), 0), 15),
+    (((2, 1), (13, 27), 1605), 23),
+    (((2, 2), (13, 28), 428), 23),
+    (((2, 1), (5.585, 5.182), 642.705), 25),
+    (((2, 2), (5.585, 9.982), 286.86199999999997), 23),
+    (((3, 3), (8.047, 13.032), 0.0), 15),
+    (((2, 1), (5.585, 5.182), 492.4999999999999), 23),
+    (((2, 2), (5.585, 9.982), 62.489999999999924), 23),
+    (((1, 1, 1), (7, -9, 17), 6095), 33),
+    (((1, 2, 2), (7, -3, 19), 1252), 27),
+    (((2, 2, 2), (26, -3, 19), 0), 13),
+    (((1, 0, 1), (7, -19, 17), 2510), 31),
+    (((1, 3, 2), (7, 46, 19), 104), 21),
+    (((2, 1, 1), (26, -9, 17), 623), 29),
+    (((2, 1, 2), (26, -9, 19), 128), 25),
+    (((1, 1, 1), (13.515, 1.184, 7.211), 2310.8700000000003), 33),
+    (((1, 2, 2), (13.515, 4.254, 9.002), 533.9260000000002), 27),
+    (((2, 2, 2), (15.074, 4.254, 9.002), 0.0), 13),
+    (((1, 0, 1), (13.515, -3.52, 7.211), 961.4360000000001), 31),
+    (((1, 3, 2), (13.515, 19.621, 9.002), 33.803999999999945), 21),
+    (((2, 1, 1), (15.074, 1.184, 7.211), 177.74599999999992), 29),
+    (((2, 1, 2), (15.074, 1.184, 9.002), 68.74600000000012), 25),
+    (((1, 0, 1, 1), (15, 20, 19, 36), 6087), 41),
+    (((0, 0, 1, 0), (7, 20, 19, 14), 24), 23),
+    (((2, 1, 0, 1), (48, 25, -8, 36), 66), 23),
+    (((1, 1, 1, 1), (15, 25, 19, 36), 185), 35),
+    (((2, 0, 1, 1), (48, 20, 19, 36), 19), 29),
+    (((1, 1, 0, 0), (15, 25, -8, 14), 768), 31),
+    (((1, 0, 2, 1), (15, 20, 22, 36), 0), 17),
+    (((1, 0, 2, 0), (15, 20, 22, 14), 0), 17),
+    (((1, 1, 1, 1), (15, 25, 19, 36), 93), 29),
+    (((1, 0, 1, 1), (-0.131, -0.529, 8.925, 15.514), 3470.1330000000003), 41),
+    (((0, 0, 1, 0), (-4.176, -0.529, 8.925, -2.515), 45.50399999999999), 23),
+    (((2, 1, 0, 1), (9.437, 7.365, 0.769, 15.514), 19.135999999999996), 23),
+    (((1, 1, 1, 1), (-0.131, 7.365, 8.925, 15.514), 210.9610000000001), 35),
+    (((2, 0, 1, 1), (9.437, -0.529, 8.925, 15.514), 32.851999999999755), 29),
+    (((1, 1, 0, 0), (-0.131, 7.365, 0.769, -2.515), 364.631), 31),
+    (((1, 0, 2, 1), (-0.131, -0.529, 14.613, 15.514), 0.0), 17),
+    (((1, 0, 2, 0), (-0.131, -0.529, 14.613, -2.515), 0.0), 17),
+    (((1, 1, 1, 1), (-0.131, 7.365, 8.925, 15.514), 95.31600000000006), 29),
+]
+
+
+class TestPinnedOutputs:
+    """Answers and counters of the hull DP and the cube median search, pinned
+    so a faster evaluation of either shows any change in what it returns."""
+
+    def test_interval_k_median(self):
+        instances = list(kmedian_pin_instances())
+        assert len(instances) == len(PINNED_KMEDIANS)
+        for (xs, ws, count, length), pinned in zip(instances, PINNED_KMEDIANS):
+            res = interval_k_median(WeightedPoints1D(xs, ws), count, length)
+            assert (res.cost, res.intervals, res.deque_pushes, res.deque_pops) == pinned
+
+    def test_cube_median(self):
+        cases = list(cube_median_pin_cases())
+        assert len(cases) == len(PINNED_CUBE_MEDIANS)
+        for (cube, scales, box), pinned in zip(cases, PINNED_CUBE_MEDIANS):
+            idx = CubeMedianIndex(cube, scales)
+            res = cube_range_weighted_median(idx, box)
+            (indices, location, cost), probes = pinned
+            assert (res.indices, res.location, idx.rangesum_probes_last_query) == (
+                indices, location, probes
+            ), box
+            if isinstance(cost, int):
+                assert res.cost == cost
+            else:
+                best = brute_force_median(cube, scales, box)
+                for ref in (cost, best):
+                    assert math.isclose(res.cost, ref, rel_tol=0.0, abs_tol=idx.cost_error_bound)
+
+    def test_zero_weight_box_message(self):
+        idx = CubeMedianIndex(make_cube([2, 3], [0, 0, 4, 0, 0, 0]), [[0, 1], [0, 1, 2]])
+        for lo, hi in (([0, 0], [1, 1]), ([1, 0], [1, 2]), ([0, 0], [0, 1])):
+            with pytest.raises(ValueError) as err:
+                cube_range_weighted_median(idx, QueryBox(lo, hi))
+            assert str(err.value) == "median undefined: query box has no positive weight"
+            assert idx.rangesum_probes_last_query == 1
