@@ -17,12 +17,13 @@ Two commands:
   Scripts hold one command per line (``#`` comments):
   ``prefix b1..bd`` | ``query lo1 hi1 .. lod hid`` | ``update c1..cd delta`` |
   ``rmq lo1 hi1 ..`` | ``median i j`` | ``cube-median lo1 hi1 ..`` |
-  ``kmedian K L`` | ``select k [q] [eps]`` | ``agg-select k [q] [eps]``.
+  ``kmedian K L`` | ``select k [q]`` | ``agg-select k [q]``.
   With ``--oracle`` every answer is cross-checked against its brute-force
   twin (``brute_force_range``, ``brute_force_median``, the naive K-median DP,
   sort-all) and the first mismatch aborts.  Int answers must be equal; a float
   answer may differ by the rounding its computation can add, as the box-read
-  structure's ``tolerance`` and ``CubeMedianIndex.cost_error_bound`` state.
+  structure's ``tolerance``, ``CubeMedianIndex.cost_error_bound`` and the
+  selection arrays' ``tolerance`` and ``aggregate_tolerance`` state.
   Each structure is one ``_STRUCTURES`` entry (options, a build step, a
   handler per verb, optionally a batched handler) run by the one loop in
   :func:`run_script`.  That loop answers each run of reads between
@@ -438,44 +439,26 @@ def _kmedian(pts: WeightedPoints1D, cmd, oracle):
 
 
 def _select(s, cmd, oracle):
-    """``select k [q] [eps]``: the k-th smallest weight; ``agg-select`` the
+    """``select k [q]``: the k-th smallest weight; ``agg-select`` the
     structure's aggregate of the k smallest.  ``q`` is the split size (absent:
-    the default, 0: no stored split) and ``eps`` the search's accuracy."""
-    agg = s.op if cmd.verb == "agg-select" else None
-    if not 1 <= len(cmd.args) <= 3:
+    the default, 0: no stored split).  The oracle compares with
+    ``all_weights`` and with the exact fold of its k smallest entries, within
+    the bound the arrays state for each."""
+    if not 1 <= len(cmd.args) <= 2:
         raise ValueError(f"bad {cmd.verb} arguments {cmd.raw!r}")
     try:
         k = int(cmd.args[0])
-        q = int(cmd.args[1]) if len(cmd.args) > 1 else None
-        eps = float(cmd.args[2]) if len(cmd.args) > 2 else 1e-6
+        q = int(cmd.args[1]) if len(cmd.args) > 1 else choose_split_q(s.arrays)
     except ValueError:
         raise ValueError(f"bad {cmd.verb} arguments {cmd.raw!r}") from None
-    if q is None:
-        q = choose_split_q(s.arrays)
     split = build_split(s.arrays, q) if q else None
-    if agg is None:
-        value = kth_smallest(s.arrays, k, eps=eps, split=split)
+    if cmd.verb == "select":
+        value = kth_smallest(s.arrays, k, split=split)
+        check = (s.weights[k - 1], *s.arrays.tolerance) if oracle else ()
     else:
-        value = aggregate_k_smallest(s.arrays, agg, k, eps=eps, split=split)
-    expected = None
-    if oracle:
-        if agg is None:
-            expected = s.weights[k - 1]
-        else:
-            chunk = s.weights[:k]
-            expected = sum(chunk) if agg == "sum" else (
-                math.prod(chunk) if agg == "product" else max(chunk)
-            )
-    if s.arrays.is_integer:
-        return _Answer((value,), value, None, expected)
-    if agg in (None, "max"):
-        # A real search stops within eps of the k-th smallest weight, or on
-        # adjacent floats where eps is below their spacing (the counting
-        # kernel's threshold arithmetic rounds there, hence a few ulps);
-        # max's aggregate is that weight.
-        abs_tol = max(eps, 4 * math.ulp(expected)) if oracle else 0.0
-        return _Answer((value,), value, None, expected, 0.0, abs_tol)
-    return _Answer((value,), value, None, expected, 1e-9, 1e-9)
+        value = aggregate_k_smallest(s.arrays, s.op, k, split=split)
+        check = (s.arrays.combine_exact(s.weights[:k]), *s.arrays.aggregate_tolerance) if oracle else ()
+    return _Answer((value,), value, None, *check)
 
 
 # -- the structure table and the script loop ---------------------------------

@@ -387,7 +387,15 @@ def float_product_error_bound(ndim: int, terms: int) -> float:
     the running product inside one Fenwick or hybrid block read, and the
     running fold of a box's corners.
     """
-    rounded = (2**ndim * terms + 1) * _EPS / 2
+    return _gamma(2**ndim * terms + 1)
+
+
+def _gamma(n: int) -> float:
+    """``γ(n) = n·u / (1 - n·u)`` with ``u = eps / 2``, capped at 1: the
+    relative error of a product of exact factors rounded ``n`` times, and of
+    a sum of nonnegative terms each rounded at most ``n`` times (Higham 2002,
+    Lemma 3.1 and §4.2)."""
+    rounded = n * _EPS / 2
     return rounded / (1 - rounded) if rounded < 0.5 else 1.0
 
 

@@ -240,9 +240,9 @@ class TestOracleCorpus:
         "op, verb, search",
         [("sum", "select 3", "kth_smallest"), ("max", "agg-select 3", "aggregate_k_smallest")],
     )
-    def test_float_kth_oracle_is_absolute_eps(self, files, capsys, monkeypatch, op, verb, search):
-        """A k-th smallest 1000 off a weight near 2e9 fails the oracle, though
-        it lies within eps (1e-6) relative to the weight."""
+    def test_float_kth_oracle_bound(self, files, capsys, monkeypatch, op, verb, search):
+        """The oracle compares a float k-th smallest within the bound the
+        arrays state: one float off a max weight, which is exact, fails it."""
         import rangecube.cli as cli
 
         arrays = files("arr.txt", "1000000000.5 1000000001.5\n1000000000.25 1000000002.0\n")
@@ -250,22 +250,24 @@ class TestOracleCorpus:
         code, out, err = run(capsys, ["query", f"select:op={op}", arrays, script, "--oracle"])
         assert (code, err) == (0, "")
         found = getattr(cli, search)
-        monkeypatch.setattr(cli, search, lambda *a, **kw: found(*a, **kw) + 1000.0)
+        step = 1000.0 if op == "sum" else 0.0
+        monkeypatch.setattr(
+            cli, search, lambda *a, **kw: math.nextafter(found(*a, **kw) + step, math.inf)
+        )
         code, out, err = run(capsys, ["query", f"select:op={op}", arrays, script, "--oracle"])
         assert code == 1
         assert "oracle mismatch at line 1" in err
 
     def test_float_kth_oracle_past_eps_spacing(self, files, capsys):
-        """Weights near 1e16 are spaced far wider than eps, and the search's
-        answer to select 10 sits one ulp below the summed weight; it still
-        passes the oracle."""
+        """Weights near 1e16 are spaced 2 or more apart, and a three-array sum
+        rounds twice; every k-th smallest still passes the oracle."""
         arrays = files(
             "arr.txt",
             "400000000000003.0 840000000000002.0 4.600000000000001e+16\n"
             "1500000000000007.0 3200000000000008.0 1.4000000000000004e+16\n"
             "2000000000000003.0 5300000000000002.0 9900000000000002.0\n",
         )
-        script = files("s.txt", "".join(f"select {k}\n" for k in range(1, 28)))
+        script = files("s.txt", "".join(f"select {k}\nagg-select {k}\n" for k in range(1, 28)))
         code, out, err = run(capsys, ["query", "select:op=sum", arrays, script, "--oracle"])
         assert (code, err) == (0, "")
 
@@ -643,17 +645,16 @@ class TestTopLevelCommands:
         code, out, err = run(capsys, ["query", "select:op=max", arrays, script, "--oracle"])
         assert code == 0 and out.splitlines()[0] == "2"
 
-    def test_select_float_eps(self, files, capsys):
-        # q = 1 is the default split of two arrays, so an eps needs no other q.
+    def test_select_float_is_a_grid_weight(self, files, capsys):
         arrays = files("arr.txt", "0.5 1.5\n0.25 0.75\n")
-        script = files("s.txt", "select 4 1 1e-9\n")
+        script = files("s.txt", "select 4 1\nselect 2 0\n")
         code, out, err = run(capsys, ["query", "select:op=sum", arrays, script, "--oracle"])
         assert code == 0
-        assert abs(float(out.splitlines()[0]) - 2.25) < 1e-6
-        script = files("s.txt", "select 4 1 1e-9 7\n")
+        assert out.splitlines()[:2] == ["2.25", "1.25"]
+        script = files("s.txt", "select 4 1 1e-9\n")
         code, out, err = run(capsys, ["query", "select:op=sum", arrays, script])
         assert code == 1
-        assert err == "error: line 1: bad select arguments 'select 4 1 1e-9 7'\n"
+        assert err == "error: line 1: bad select arguments 'select 4 1 1e-9'\n"
 
     @pytest.mark.parametrize("argv", [["median", "c", "s", "0", "1"], ["select", "a", "--k", "1"]])
     def test_only_query_and_bench(self, capsys, argv):

@@ -121,7 +121,7 @@ CASES = [
     ("hybrid-sum-float-max", "hybrid", "float_max_tiny", "query 0 1\nquery 1 1\n", True),
     ("median-line-float", "median:scales={float_line4}", "float_weights1", "median 0 3\nmedian 1 2\ncube-median 0 3\n", True),
     ("median-cube-float", "median:scales={float_grid3}", "float_weights2", "cube-median 0 2 0 2\ncube-median 1 2 0 1\n", True),
-    ("select-sum-float-eps", "select", "float_arrays", "select 4 1 1e-9\nselect 2 0 0.5\nagg-select 3 1 1e-9\n", True),
+    ("select-sum-float", "select", "float_arrays", "select 4 1\nselect 2 0\nagg-select 3 1\n", True),
     # bad lines and bad input
     ("bad-unknown-verb", "prefix", "int2", "prefix 1 1\nfrobnicate 1\n", False),
     ("bad-unsupported-verb", "rmq", "int2", "update 0 0 5\n", False),

@@ -1,11 +1,14 @@
 """Tests for k-th smallest and aggregate-of-k-smallest grid selection."""
 
+import itertools
 import math
 import random
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -185,6 +188,8 @@ class TestKthSmallest:
                 assert kth_smallest(arrays, k, split=build_split(arrays, q)) == expected
 
     def test_float_precision(self):
+        """A float answer is the k-th fold fl(x op r) of the kernel: within
+        the stated bound of the exact weight, and no float below it counts k."""
         rng = random.Random(19)
         for op in ("sum", "product"):
             arrays = SortedWeightArrays(
@@ -192,16 +197,46 @@ class TestKthSmallest:
                 op,
             )
             weights = all_weights(arrays)
+            rel_tol, abs_tol = arrays.tolerance
             for k in (1, 10, 100, 216):
-                got = kth_smallest(arrays, k, eps=1e-9)
-                assert got == pytest.approx(weights[k - 1], abs=1e-8)
+                got = kth_smallest(arrays, k)
+                assert math.isclose(got, weights[k - 1], rel_tol=rel_tol, abs_tol=abs_tol)
+                assert count_leq(arrays, got) >= k > count_leq(arrays, math.nextafter(got, 0))
 
     def test_float_iteration_budget(self):
-        arrays = SortedWeightArrays([[0.0, 1.0], [0.0, 1.0]], "sum")
-        eps = 1e-6
-        _, stats = kth_smallest(arrays, 2, eps=eps, return_stats=True)
-        budget = math.ceil(math.log2((arrays.wmax - arrays.wmin) / eps)) + 1
-        assert stats["iterations"] <= budget
+        """At most 65 counting passes for floats, and ceil(log2(wmax - wmin
+        + 1)) + 1 for ints, whether the search bisects to adjacent keys or
+        lists a window."""
+        rng = random.Random(53)
+        cases = [
+            SortedWeightArrays([[0.0, 1.0], [0.0, 1.0]], "sum"),
+            SortedWeightArrays([[5e-324, 1e300], [0.0, 1.7e308]], "sum"),
+            SortedWeightArrays([[1e-150, 1e150], [1e-150, 1e150]], "product"),
+            random_int_arrays(rng, "sum", d=3, n=6, hi=10**6),
+            random_int_arrays(rng, "product", d=2, n=6, lo=1, hi=10**9),
+        ]
+        for arrays in cases:
+            if arrays.is_integer:
+                budget = math.ceil(math.log2(arrays.wmax - arrays.wmin + 1)) + 1
+            else:
+                budget = 65
+            for window, k in itertools.product((1, selection._WINDOW), range(1, arrays.grid_size + 1)):
+                with mock.patch.object(selection, "_WINDOW", window):
+                    _, stats = kth_smallest(arrays, k, return_stats=True)
+                assert stats["iterations"] <= budget
+
+    @pytest.mark.parametrize("k", [2.5, "2", None, 2.0])
+    def test_non_integer_rank_rejected(self, k):
+        arrays = SortedWeightArrays([[1, 2, 3], [1, 5, 9]], "sum")
+        with pytest.raises(ValueError, match="rank k must be an integer"):
+            kth_smallest(arrays, k)
+        with pytest.raises(ValueError, match="rank k must be an integer"):
+            aggregate_k_smallest(arrays, "sum", k)
+
+    def test_numpy_integer_rank_accepted(self):
+        arrays = SortedWeightArrays([[1, 2, 3], [1, 5, 9]], "sum")
+        assert kth_smallest(arrays, np.int64(2)) == 3
+        assert aggregate_k_smallest(arrays, "sum", np.uint8(4)) == 15
 
     def test_feasibility_direction(self):
         rng = random.Random(23)
@@ -260,9 +295,11 @@ class TestAggregate:
             "product",
         )
         weights = all_weights(arrays)
+        rel_tol, abs_tol = arrays.aggregate_tolerance
         for k in (1, 5, 60, 125):
-            got = aggregate_k_smallest(arrays, "product", k, eps=1e-12)
-            assert got == pytest.approx(math.prod(weights[:k]), rel=1e-9)
+            got = aggregate_k_smallest(arrays, "product", k)
+            want = arrays.combine_exact(weights[:k])
+            assert math.isclose(got, want, rel_tol=rel_tol, abs_tol=abs_tol)
 
 
 class TestFloatDomain:
@@ -285,7 +322,13 @@ class TestFloatDomain:
             kth_smallest(SortedWeightArrays(rows, "sum"), 1)
 
     @pytest.mark.parametrize(
-        "rows", [[[1e200, 2e200]] * 2, [[1e-200, 1.0]] * 2, [[1e300], [1e300], [1e-300]]]
+        "rows",
+        [
+            [[1e200, 2e200]] * 2,
+            [[1e-200, 1.0]] * 2,
+            [[1e300], [1e300], [1e-300]],
+            [[1e-160, 1.0]] * 2,  # a subnormal weight has lost its relative accuracy
+        ],
     )
     def test_float_product_leaving_range_rejected(self, rows):
         with pytest.raises(ValueError, match="finite float64 range"):
@@ -293,24 +336,23 @@ class TestFloatDomain:
 
     def test_float_product_aggregate_past_range_rejected(self):
         arrays = SortedWeightArrays([[1e100, 1e101]] * 2, "product")
-        got = aggregate_k_smallest(arrays, "product", 1, eps=1e190)
-        assert got == pytest.approx(1e200, rel=0.1)
+        assert aggregate_k_smallest(arrays, "product", 1) == all_weights(arrays)[0]
         with pytest.raises(ValueError, match="float64 range"):
-            aggregate_k_smallest(arrays, "product", 2, eps=1e190)
+            aggregate_k_smallest(arrays, "product", 2)
 
     def test_int_set_with_big_int_stays_exact(self):
         arrays = SortedWeightArrays([[1, 2**1100]], "max")
         assert kth_smallest(arrays, 2) == 2**1100
 
     def test_adjacent_float_bounds_terminate(self):
-        """Bounds one float apart with eps below the float spacing: the search
-        stops on the exact weight (it used to loop forever for k = 2)."""
+        """Weights one float apart: the search stops on each exact weight
+        (a search on the weight's value once looped forever for k = 2)."""
         code = (
             "import math; from rangecube.selection import SortedWeightArrays, kth_smallest\n"
             "lo = 1e10; hi = math.nextafter(lo, math.inf)\n"
             "a = SortedWeightArrays([[lo, hi]], 'sum')\n"
-            "assert kth_smallest(a, 1, eps=1e-9) == lo\n"
-            "assert kth_smallest(a, 2, eps=1e-9) == hi\n"
+            "assert kth_smallest(a, 1) == lo\n"
+            "assert kth_smallest(a, 2) == hi\n"
         )
         subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
@@ -374,13 +416,15 @@ class TestKernelEdges:
             [sorted(rng.uniform(0.5, 2.0) for _ in range(4)) for _ in range(3)], "product"
         )
         weights = all_weights(arrays)
-        expected = [kth_smallest(arrays, k, eps=1e-12) for k in (1, 20, 64)]
+        expected = [kth_smallest(arrays, k) for k in (1, 20, 64)]
         monkeypatch.setattr(selection, "_BLOCK", 3)
+        rel_tol, _ = arrays.tolerance
+        agg_rel_tol, _ = arrays.aggregate_tolerance
         for k, want in zip((1, 20, 64), expected):
-            assert kth_smallest(arrays, k, eps=1e-12) == want
-            assert want == pytest.approx(weights[k - 1], abs=1e-11)
-            got = aggregate_k_smallest(arrays, "product", k, eps=1e-12)
-            assert got == pytest.approx(math.prod(weights[:k]), rel=1e-9)
+            assert kth_smallest(arrays, k) == want
+            assert math.isclose(want, weights[k - 1], rel_tol=rel_tol)
+            got = aggregate_k_smallest(arrays, "product", k)
+            assert math.isclose(got, arrays.combine_exact(weights[:k]), rel_tol=agg_rel_tol)
 
     def test_storage_stays_within_left_plus_block(self, monkeypatch):
         """Without a split the kernel holds the first array and one right-side
@@ -424,3 +468,86 @@ def test_selection_matches_oracle_on_edges(case):
     arrays, ks = case
     splits = [None] + [build_split(arrays, q) for q in range(1, arrays.d)]
     check_against_oracle(arrays, splits, ks)
+
+
+@st.composite
+def grid_cases(draw):
+    """Int or float arrays for sum, product and max with d 1-3 and n 1-6.
+    Float entries sit at, or one float either side of, a few anchors, so rows
+    hold duplicate runs and adjacent floats; sum and max rows also draw -0.0
+    and 0.0.  Product anchors lie in [0.5, 2], where every partial product an
+    aggregate forms stays a normal float, as ``aggregate_tolerance`` assumes."""
+    op = draw(st.sampled_from(["sum", "product", "max"]))
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        entry = st.integers(1 if op == "product" else 0, 20)
+    else:
+        span = (0.5, 2.0) if op == "product" else (0.25, 8.0)
+        anchors = draw(st.lists(st.floats(*span), min_size=1, max_size=3))
+        step = {-1: -math.inf, 0: None, 1: math.inf}
+        entry = st.builds(
+            lambda x, s: x if step[s] is None else math.nextafter(x, step[s]),
+            st.sampled_from(anchors), st.sampled_from(sorted(step)),
+        )
+        if op != "product":
+            entry = st.one_of(entry, st.sampled_from([0.0, -0.0]))
+    rows = [sorted(draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(d)]
+    return SortedWeightArrays(rows, op)
+
+
+@pytest.mark.parametrize("window", [1, selection._WINDOW])
+@settings(max_examples=60, deadline=None)
+@given(grid_cases())
+def test_selection_differential(window, arrays):
+    """Every rank under every split, with the search bisecting to one weight
+    (window 1) and listing whole windows (the module's own): int answers
+    equal ``all_weights``; a float answer is within the stated bound of it,
+    counts at least k and is the smallest float that does."""
+    weights = all_weights(arrays)
+    rel_tol, abs_tol = arrays.tolerance
+    agg_rel_tol, agg_abs_tol = arrays.aggregate_tolerance
+    splits = [None] + [build_split(arrays, q) for q in range(1, arrays.d)]
+    with mock.patch.object(selection, "_WINDOW", window):
+        for split in splits:
+            for k in range(1, len(weights) + 1):
+                got = kth_smallest(arrays, k, split=split)
+                agg = aggregate_k_smallest(arrays, arrays.op, k, split=split)
+                want_agg = arrays.combine_exact(weights[:k])
+                if arrays.is_integer:
+                    assert (got, agg) == (weights[k - 1], want_agg)
+                    continue
+                assert math.isclose(got, weights[k - 1], rel_tol=rel_tol, abs_tol=abs_tol)
+                assert math.isclose(agg, want_agg, rel_tol=agg_rel_tol, abs_tol=agg_abs_tol)
+                below = math.nextafter(got, -math.inf)
+                assert count_leq(arrays, got, split) >= k > count_leq(arrays, below, split)
+
+
+@pytest.mark.parametrize(
+    "rows, op, k, want",
+    [
+        ([[0.5, 1.5], [0.25, 2.0]], "product", 1, 0.125),
+        ([[0.5, 1.5], [0.25, 2.0]], "product", 3, 1.0),
+        ([[0.1, 0.2, 0.3], [0.1, 0.5, 0.9]], "sum", 4, 0.6),
+        ([[-0.0, 1.0], [-0.0, 2.0]], "sum", 1, 0.0),
+    ],
+)
+def test_float_answer_is_a_grid_weight(rows, op, k, want):
+    """A search on the weight's value once answered 0.125000685453,
+    1.00000047684, 0.6000005722045898 and 7.15e-07 here."""
+    got = kth_smallest(SortedWeightArrays(rows, op), k)
+    assert got == want and math.copysign(1.0, got) == 1.0
+
+
+def test_float_cuts_follow_the_fold():
+    """Left entries far below ulp(r): the threshold wt - r puts the cut of
+    count_leq(1e16) after 0.0 alone, where the fold 0.5 + 1e16 rounds to
+    1e16 too; the count and the ranks follow the fold."""
+    left = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75]
+    right = [1e16 + 2 * i for i in range(8)]
+    arrays = SortedWeightArrays([left, right], "sum")
+    folds = sorted(np.add.outer(left, right).ravel().tolist())
+    for wt in sorted(set(folds)):
+        assert count_leq(arrays, wt) == sum(w <= wt for w in folds)
+    for window in (1, selection._WINDOW):
+        with mock.patch.object(selection, "_WINDOW", window):
+            assert [kth_smallest(arrays, k) for k in range(1, 65)] == folds
