@@ -35,8 +35,9 @@ Two commands:
   goes through the verb handlers one command at a time instead, so output,
   counters, error messages and oracle checks stay those of one read at a
   time.  The lines go to stdout in one write once the script has run.  The
-  structures check the numeric domain themselves: the int sum bound on load
-  and on every update, float-only product and finite float cells.
+  structures check the numeric domain themselves: Σ|cells| < 2**63 for an
+  int sum on load and on every update, float-only product and finite float
+  cells.
 
 * ``bench`` — deterministic touched-cell statistics for hybrid parameter
   sweeps against the predicted bounds.

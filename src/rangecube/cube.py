@@ -41,9 +41,6 @@ __all__ = [
 #: per query, so d is kept desk-scale.
 MAX_DIMENSIONS = 6
 
-#: Integer sum cubes are safe from int64 overflow when |value| * cells < 2**62.
-SUM_SAFE_BOUND = 1 << 62
-
 @dataclass(frozen=True)
 class AggregateOp:
     """An associative, commutative aggregate operator.
@@ -93,6 +90,28 @@ _KIND_DTYPES = {"int": np.int64, "float": np.float64}
 _DTYPE_KINDS = {"i": "int", "u": "int", "f": "float", "b": "float"}
 
 
+def _indices(values, what: str) -> tuple:
+    """``values`` as a tuple of ints through ``operator.index``: numpy
+    integers pass, and a float or a string raises a ValueError naming it
+    where ``int`` would truncate or parse it."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        bad = next((v for v in values if not hasattr(v, "__index__")), values)
+        raise ValueError(f"{what} must be an integer, got {bad!r}") from None
+
+
+def _check_coords(coords, dims: Sequence[int]) -> tuple:
+    """``coords`` as a tuple of ints, one per extent of ``dims`` and inside it."""
+    coords = _indices(coords, "coordinate")
+    if len(coords) != len(dims):
+        raise ValueError(f"expected {len(dims)} coordinates, got {len(coords)}")
+    for j, (c, m) in enumerate(zip(coords, dims)):
+        if not 0 <= c < m:
+            raise IndexError(f"coordinate {c} out of range [0, {m}) in dimension {j}")
+    return coords
+
+
 def _first_misfit(flat) -> None:
     """Raise the range error for the first value of ``flat`` outside int64."""
     for v in flat:
@@ -117,7 +136,7 @@ def _convert_list(flat: list, kind: Optional[str]) -> np.ndarray:
 
 
 def _convert_array(values: np.ndarray, kind: Optional[str]) -> np.ndarray:
-    """A C-ordered int64/float64 copy of ``values``, converted by dtype.
+    """An int64/float64 copy of the flat array ``values``, converted by dtype.
 
     Integer dtypes make an int cube, float and bool dtypes a float cube, with
     one ``astype`` copy and, for uint64, one vectorised bound check.  Other
@@ -126,10 +145,10 @@ def _convert_array(values: np.ndarray, kind: Optional[str]) -> np.ndarray:
     """
     natural = _DTYPE_KINDS.get(values.dtype.kind)
     if natural is None or kind not in (None, natural):
-        return _convert_list(list(values.reshape(-1)), kind)
+        return _convert_list(list(values), kind)
     if values.dtype == np.uint64 and values.max() > _INT64_MAX:
-        _first_misfit(values.reshape(-1))
-    return values.astype(_KIND_DTYPES[natural], order="C")
+        _first_misfit(values)
+    return values.astype(_KIND_DTYPES[natural])
 
 
 class DataCube:
@@ -156,19 +175,11 @@ class DataCube:
         if any(m < 1 for m in dims):
             raise ValueError(f"all extents must be >= 1, got {dims}")
         ncells = math.prod(dims)
-        if isinstance(values, np.ndarray) and (values.shape == dims or values.ndim == 1):
-            if values.size != ncells:
-                raise ValueError(
-                    f"value count {values.size} does not match extent product {ncells}"
-                )
-            arr = _convert_array(values.reshape(dims), kind)
-        else:
-            flat = list(values)
-            if len(flat) != ncells:
-                raise ValueError(
-                    f"value count {len(flat)} does not match extent product {ncells}"
-                )
-            arr = _convert_list(flat, kind)
+        array = isinstance(values, np.ndarray) and (values.shape == dims or values.ndim == 1)
+        flat = values.reshape(-1) if array else list(values)
+        if len(flat) != ncells:
+            raise ValueError(f"value count {len(flat)} does not match extent product {ncells}")
+        arr = _convert_array(flat, kind) if array else _convert_list(flat, kind)
         if arr.dtype.kind == "f" and not np.isfinite(arr).all():
             i = int(np.argmin(np.isfinite(arr)))
             cell = tuple(int(c) for c in np.unravel_index(i, dims))
@@ -190,13 +201,7 @@ class DataCube:
 
     def cell(self, coords: Sequence[int]):
         """Value at ``coords`` as a plain Python number."""
-        coords = tuple(coords)
-        if len(coords) != self.ndim:
-            raise ValueError(f"expected {self.ndim} coordinates, got {len(coords)}")
-        for j, (c, m) in enumerate(zip(coords, self.dims)):
-            if not 0 <= c < m:
-                raise IndexError(f"coordinate {c} out of range [0, {m}) in dimension {j}")
-        return self.values[coords].item()
+        return self.values[_check_coords(coords, self.dims)].item()
 
     def flat(self) -> list:
         """Row-major value list (Python numbers)."""
@@ -231,8 +236,7 @@ class QueryBox:
         return (type(self), (self.lo, self.hi))
 
     def __init__(self, lo: Sequence[int], hi: Sequence[int]):
-        lo = tuple(int(c) for c in lo)
-        hi = tuple(int(c) for c in hi)
+        lo, hi = _indices(lo, "box coordinate"), _indices(hi, "box coordinate")
         if len(lo) != len(hi) or not lo:
             raise ValueError("lo and hi must be equal-length, non-empty sequences")
         for j, (a, b) in enumerate(zip(lo, hi)):
@@ -417,20 +421,42 @@ def _float_mass(values: np.ndarray) -> float:
         return float(np.abs(values).sum())
 
 
-_OVERFLOW_RISK = "overflow risk: |value| * cell count must stay below 2**62 for sum cubes"
+def _int_mass(values: np.ndarray) -> int:
+    """Σ|values| of an int64 array, exact, as a Python int, with one
+    temporary.  ``np.abs`` wraps -2**63 to itself, which reads 2**63 as
+    uint64.  The sum of the high 32-bit halves cannot wrap below 2**32
+    cells, nor can that of the low halves, which is the uint64 sum of all
+    less the high part, modulo 2**64."""
+    magnitudes = np.abs(values).view(np.uint64)
+    wrapped = int(magnitudes.sum())
+    high = int(np.right_shift(magnitudes, 32, out=magnitudes).sum()) << 32
+    return high + (wrapped - high) % (1 << 64)
 
 
-def _check_sum_bound(peak: int, cells: int, message: str = _OVERFLOW_RISK) -> None:
-    """Reject ``peak * cells`` at or past ``SUM_SAFE_BOUND``: below it, every
-    sum of at most ``cells`` terms of magnitude at most ``peak`` fits int64."""
-    if peak * cells >= SUM_SAFE_BOUND:
-        raise ValueError(message)
+def _check_int_mass(mass: int, what: str) -> int:
+    """``mass``, rejected where an int sum table's reaches 2**63.  Every table
+    entry, Fenwick or hybrid node and box answer is a signed sum of distinct
+    cells, at most Σ|cells| in magnitude, so below it each one fits int64; a
+    batched fold that passes it on the way is exact modulo 2**64."""
+    if mass >= 1 << 63:
+        raise ValueError(f"int sum overflow: {what} is {mass}; exact int sums need it below 2**63")
+    return mass
+
+
+def _check_int_sum(values: np.ndarray, factor: int = 1, what: str = "the sum of |cells|") -> None:
+    """:func:`_check_int_mass` of Σ|values| * ``factor``, ``values`` an int64
+    array.  That is at most |peak| * cells * ``factor``: only an array that
+    fails this shortcut pays the pass that sums the magnitudes."""
+    # Python ints, so the peak of -2**63 is exact (np.abs would wrap).
+    if max(int(values.max()), -int(values.min())) * values.size * factor >= 1 << 63:
+        _check_int_mass(_int_mass(values) * factor, what)
 
 
 def _check_table_domain(values: np.ndarray, op: AggregateOp, what: str) -> None:
     """Reject a cube that ``op`` cannot give an exact, invertible table over:
-    int sum cells keep ``|value| * cells`` below ``SUM_SAFE_BOUND`` and
-    product needs a float cube, so no int64 prefix wraps."""
+    product needs a float cube, so no int64 prefix wraps.  An int sum cube
+    keeps Σ|cells| below 2**63 (:func:`_check_int_mass`), which its table
+    checks."""
     if not op.invertible:
         raise ValueError(f"operator {op.name} has no inverse; {what} needs one")
     if op.name == "xor" and values.dtype.kind != "i":
@@ -439,22 +465,30 @@ def _check_table_domain(values: np.ndarray, op: AggregateOp, what: str) -> None:
         raise ValueError(f"product {what} is undefined with zero cells")
     if op.name == "product" and values.dtype.kind == "i":
         raise ValueError("product structures are only offered on float cubes")
-    if op.name == "sum" and values.dtype.kind == "i":
-        # Python ints, so the peak of -2**63 is exact (np.abs would wrap).
-        _check_sum_bound(max(int(values.max()), -int(values.min())), values.size)
+
+
+def _cube_number(kind: str, x, what: str):
+    """``x`` as a Python int inside int64 for an int cube (a numpy integer
+    would combine in wrapping int64 arithmetic), or as a finite float for a
+    float cube."""
+    if kind == "f" and not abs(x) <= _FLOAT_MAX:
+        raise ValueError(f"{what} {x} is not a finite float")
+    if kind == "i" and not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{what} {x!r} is not an integer; int cubes take int {what}s")
+    if kind == "i" and not _INT64_MIN <= int(x) <= _INT64_MAX:
+        raise ValueError(f"{what} {x} does not fit a 64-bit signed integer")
+    return int(x) if kind == "i" else x
 
 
 def _updated_cell(op: AggregateOp, values: np.ndarray, coords: tuple, delta):
     """The value cell ``coords`` of ``values`` takes when combined with
     ``delta``, rejected where it leaves the domain ``_check_table_domain``
-    admits; a float delta must be finite and an int cube's delta an integer."""
+    admits; a float delta must be finite and an int cube's delta an int64
+    integer (:func:`_cube_number`).  An int sum table checks its new
+    Σ|cells| itself."""
     kind = values.dtype.kind
-    if kind == "i" and not isinstance(delta, (int, np.integer)):
-        raise ValueError(f"delta {delta!r} is not an integer; int cubes take int deltas")
-    if kind == "f" and not abs(delta) <= _FLOAT_MAX:
-        raise ValueError(f"delta {delta} is not a finite float")
-    # A numpy integer delta would combine in wrapping int64 arithmetic.
-    value = op.combine(values[coords].item(), int(delta) if kind == "i" else delta)
+    delta = _cube_number(kind, delta, "delta")
+    value = op.combine(values[coords].item(), delta)
     if kind == "f":
         if not abs(value) <= _FLOAT_MAX:
             raise ValueError(f"update would set cell {coords} to {value}, which is not finite")
@@ -467,31 +501,22 @@ def _updated_cell(op: AggregateOp, values: np.ndarray, coords: tuple, delta):
                 f"product underflow: update would set cell {coords} to {value!r}, "
                 "below the normal floats"
             )
-    elif op.name == "sum":
-        # The bound on the new cell also keeps the delta within int64.
-        _check_sum_bound(abs(value), values.size)
-    elif not _INT64_MIN <= delta <= _INT64_MAX:
-        raise ValueError(f"delta {delta} does not fit a 64-bit signed integer")
     return value
 
 
 def _settable_value(op: AggregateOp, values: np.ndarray, coords: tuple, value) -> tuple:
     """``value`` as cell ``coords`` of ``values`` takes it, and the delta
     that sets it there, rejected where no cell may hold the value or no table
-    can take the delta.  An int cube's value is an integer (returned as a
-    Python int), a float cube's finite and a product cell's nonzero.  A float
+    can take the delta.  An int cube's value is an int64 integer (returned
+    as a Python int), a float cube's finite and a product cell's nonzero.  A float
     delta must be finite, and a product delta normal: a quotient rounded
-    below the normal floats has lost its relative accuracy.  The int bounds
-    are the ones an update checks, as the cell it computes is then ``value``
-    itself."""
+    below the normal floats has lost its relative accuracy.  An int sum table
+    checks the Σ|cells| that ``value`` leaves; other int deltas take the
+    bounds an update checks."""
     kind = values.dtype.kind
-    if kind == "i" and not isinstance(value, (int, np.integer)):
-        raise ValueError(f"value {value!r} is not an integer; int cubes take int values")
-    if kind == "f" and not abs(value) <= _FLOAT_MAX:
-        raise ValueError(f"value {value} is not a finite float")
+    value = _cube_number(kind, value, "value")
     if op.name == "product" and value == 0:
         raise ValueError("product cells cannot be set to zero")
-    value = int(value) if kind == "i" else value
     old = values[coords].item()
     delta = op.inverse(value, old)
     if kind == "f":
@@ -645,6 +670,8 @@ class PrefixCube:
 
     def __init__(self, cube: DataCube, op: AggregateOp):
         _check_table_domain(cube.values, op, "prefix cube")
+        if op.name == "sum" and cube.kind == "int":
+            _check_int_sum(cube.values)
         self.op = op
         self.dims = cube.dims
         self._padded = _padded_prefix_table(op, cube.values)

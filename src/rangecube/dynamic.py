@@ -31,11 +31,11 @@ to it and the magnitudes they brought, which its ``tolerance`` reads.
 
 Min/max are not invertible and are rejected here; use the static structures.
 Builds and updates keep every cell in the domain the cube module's table
-check admits: int sum cells keep ``|value| * cells`` below ``2**62``, product
-needs a float cube with no zero cell and no table entry below the normal
-floats, and no update may round a cell below them; float cells stay
-finite.  A float table whose prefix overflowed is reported when a query
-reads it.
+check admits: an int sum table keeps Σ|cells| below ``2**63``, tracked
+exactly across updates; product needs a float cube with no zero cell and no
+table entry below the normal floats, and no update may round a cell below
+them; float cells stay finite.  A float table whose prefix overflowed is
+reported when a query reads it.
 """
 
 from __future__ import annotations
@@ -49,12 +49,15 @@ from .cube import (
     AggregateOp,
     DataCube,
     QueryBox,
+    _check_coords,
     _check_fold,
+    _check_int_mass,
     _check_normal_products,
     _check_table_domain,
     _corners,
     _float_mass,
     _fold_corners,
+    _int_mass,
     _quiet,
     _rounding_tolerance,
     _settable_value,
@@ -65,16 +68,6 @@ __all__ = [
     "FenwickCube",
     "HybridCube",
 ]
-
-
-def _check_coords(coords, dims) -> tuple:
-    coords = tuple(int(c) for c in coords)
-    if len(coords) != len(dims):
-        raise ValueError(f"expected {len(dims)} coordinates, got {len(coords)}")
-    for j, (c, m) in enumerate(zip(coords, dims)):
-        if not 0 <= c < m:
-            raise IndexError(f"coordinate {c} out of range [0, {m}) in dimension {j}")
-    return coords
 
 
 class _FenwickAxis:
@@ -174,6 +167,13 @@ class _AxisProductTable:
 
     def __init__(self, cube: DataCube, op: AggregateOp, schemes: tuple):
         _check_table_domain(cube.values, op, type(self).__name__)
+        # A sum table's mass.  An int one holds Σ|cells| exactly, which its
+        # build and updates keep below 2**63; a float one Σ|cells| +
+        # Σ|deltas|, read by its tolerance with the updates applied.
+        self._int_sum = op.name == "sum" and cube.kind == "int"
+        self._float = cube.kind == "float"
+        mass = (_float_mass if self._float else _int_mass)(cube.values) if op.name == "sum" else 0
+        self._mass = _check_int_mass(mass, "the sum of |cells|") if self._int_sum else mass
         self.op = op
         self.dims = cube.dims
         self._schemes = schemes
@@ -189,10 +189,6 @@ class _AxisProductTable:
         self.shadow = cube.values.copy()
         self.cells_touched_last_update = 0
         self.cells_touched_last_query = 0
-        # What the tolerance of a float table reads: Σ|cells| + Σ|deltas| and
-        # the updates applied.  An int table counts nothing.
-        self._float = table.dtype.kind == "f"
-        self._mass = _float_mass(cube.values) if self._float and op.name == "sum" else 0.0
         self._updates = 0
 
     @property
@@ -215,13 +211,26 @@ class _AxisProductTable:
         float combine of the old value and that delta may miss by a rounding."""
         coords = _check_coords(coords, self.dims)
         value, delta = _settable_value(self.op, self.shadow, coords, value)
-        self.update(coords, delta)
-        self.shadow[coords] = value
+        if self._int_sum:
+            # value - old may leave int64 while value fits: the int64 nodes
+            # are exact modulo 2**64, so they take the delta reduced into it.
+            self._apply(coords, value, (delta + (1 << 63)) % (1 << 64) - (1 << 63))
+        else:
+            self.update(coords, delta)
+            self.shadow[coords] = value
 
     def update(self, coords, delta):
         """Combine the represented cell at ``coords`` with ``delta``."""
         coords = _check_coords(coords, self.dims)
-        value = _updated_cell(self.op, self.shadow, coords, delta)
+        self._apply(coords, _updated_cell(self.op, self.shadow, coords, delta), delta)
+
+    def _apply(self, coords, value, delta):
+        """Combine the table with ``delta`` at ``coords`` and set the shadow
+        cell to ``value``.  An int sum's new mass and a product's new nodes
+        are checked before any write, so a rejected update changes nothing."""
+        if self._int_sum:
+            mass = self._mass - abs(self.shadow[coords].item()) + abs(value)
+            self._mass = _check_int_mass(mass, "the sum of |cells| after the update")
         axes = [s.update_indices(c) for s, c in zip(self._schemes, coords)]
         idx = self._index(axes)
         with _quiet(self.table):

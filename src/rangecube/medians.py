@@ -41,7 +41,7 @@ from .cube import (
     QueryBox,
     _EVEN,
     _check_fold,
-    _check_sum_bound,
+    _check_int_sum,
     _corner_offsets,
     _fold_corners,
     _interior,
@@ -502,10 +502,11 @@ class CubeMedianIndex:
     slab sum the search asks for counts as one RangeSum probe in
     :attr:`rangesum_probes_last_query`; it reads ``2**(d-1)`` prefix entries.
 
-    Int weights with int scales are summed exactly in int64; the build
-    rejects them with a ``ValueError`` once peak weight * cell count * peak
-    |scale| reaches ``2**62``, so no table can wrap, or once a scale leaves
-    int64.  Scales must be finite floats (an int past the float range is
+    Int weights with int scales are summed exactly in int64: every table
+    entry is at most W * peak |scale| in magnitude, W the whole cube's
+    weight, and costs fold in Python ints.  The build rejects them with a
+    ``ValueError`` once W * max(peak |scale|, 1) reaches ``2**63``, or once a
+    scale leaves int64.  Scales must be finite floats (an int past the float range is
     rejected too); a float table whose sum overflowed is reported when a
     query reads it.  A float cost is within :attr:`cost_error_bound` of the
     exact one.
@@ -530,25 +531,22 @@ class CubeMedianIndex:
                 raise ValueError(f"scale list {j} holds {shown}; scales must be finite")
             if any(a > b for a, b in zip(scale, scale[1:])):
                 raise ValueError(f"scale list {j} is not sorted ascending")
-        self.cube = cube
-        self.scales = scales
-        self.dims = cube.dims
         exact = _exact_costs(cube, scales)
         if exact:
-            # Python ints, so a scale past int64 is measured, not converted;
-            # each list is sorted, so its peak |scale| sits at an end.
-            peak_scale = max(abs(int(x)) for scale in scales for x in (scale[0], scale[-1]))
-            _check_sum_bound(
-                int(cube.values.max()) * max(peak_scale, 1),
-                cube.size,
-                "overflow risk: peak weight * cell count * peak |scale| must stay "
-                "below 2**62 for int medians",
-            )
+            # Python ints, so a scale past int64 is measured, not converted,
+            # and a cost (up to twice the bound below) folds without wrapping.
+            scales = [tuple(map(int, scale)) for scale in scales]
+            # Each list is sorted, so its peak |scale| sits at an end.
+            peak_scale = max(abs(x) for scale in scales for x in (scale[0], scale[-1]))
+            _check_int_sum(cube.values, max(peak_scale, 1), "the weight sum * max(peak |scale|, 1)")
             # An all-zero cube passes the bound with any scale, but its
             # scales are still converted to int64.
             for j, scale in enumerate(scales):
                 if not _INT64_MIN <= scale[0] <= scale[-1] <= _INT64_MAX:
                     raise ValueError(f"scale list {j} holds an int past int64")
+        self.cube = cube
+        self.scales = scales
+        self.dims = cube.dims
         dtype = np.int64 if exact else np.float64
         # Each table has one identity plane per axis; ps_cube and psd_cubes
         # are their interiors.

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cube import DataCube, QueryBox, _check_boxes, _first_true
+from .cube import DataCube, QueryBox, _check_boxes, _first_true, _indices
 
 __all__ = [
     "DimensionGrouping",
@@ -299,8 +299,8 @@ class SparseTable:
 
     def block_value(self, anchor: Sequence[int], kt: Sequence[int]):
         """Table entry: the aggregate of the block anchored at ``anchor``."""
-        anchor = tuple(anchor)
-        kt = tuple(kt)
+        anchor = _indices(anchor, "anchor coordinate")
+        kt = _indices(kt, "level")
         if len(kt) != self.grouping.ngroups or any(
             not 0 <= k <= km for k, km in zip(kt, self.kmax)
         ):
@@ -327,7 +327,7 @@ def grouped_base_case(
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
     if grouping.ndim != cube.ndim:
         raise ValueError("grouping does not match cube dimensionality")
-    anchor = tuple(int(a) for a in anchor)
+    anchor = _indices(anchor, "anchor coordinate")
     box = QueryBox(anchor, [a + f - 1 for a, f in zip(anchor, grouping.stretch)])
     box.validate_for(cube.dims)
     ufunc = np.minimum if mode == "min" else np.maximum

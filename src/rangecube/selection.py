@@ -45,13 +45,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .cube import _FLOAT_MAX, _TINY, _gamma, _round_once
+from .cube import _FLOAT_MAX, _TINY, _gamma, _indices, _round_once
 
 __all__ = [
     "SortedWeightArrays", "SelectionSplit", "build_split", "choose_split_q",
@@ -368,10 +367,7 @@ def _float_value(key: int) -> float:
 
 def _rank(arrays: SortedWeightArrays, k) -> int:
     """``k`` as an int in ``[1, n^d]``; numpy integers pass."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError(f"rank k must be an integer, got {k!r}") from None
+    (k,) = _indices((k,), "rank k")
     if not 1 <= k <= arrays.grid_size:
         raise ValueError(f"rank k must be in [1, {arrays.grid_size}], got {k}")
     return k

@@ -143,12 +143,16 @@ class TestQueryGolden:
         ]
 
     def test_overflow_rejection(self, files, capsys):
-        big = 1 << 61
-        cube = files("cube.txt", f"1\n4\nint\n{big} 0 0 0\n")
+        # Σ|cells| = 2**63 - 1 loads and reads exactly; 2**63 is rejected.
+        half = 1 << 62
         script = files("s.txt", "prefix 3\n")
+        cube = files("cube.txt", f"1\n4\nint\n{half} {-(half - 1)} 0 0\n")
+        code, out, err = run(capsys, ["query", "prefix:op=sum", cube, script, "--oracle"])
+        assert code == 0 and out.splitlines()[0] == "1"
+        cube = files("cube.txt", f"1\n4\nint\n{half} {-half} 0 0\n")
         code, out, err = run(capsys, ["query", "prefix:op=sum", cube, script])
         assert code == 1
-        assert "overflow" in err
+        assert f"overflow: the sum of |cells| is {1 << 63}" in err
 
     def test_overflow_rejection_at_int64_min(self, files, capsys):
         cube = files("cube.txt", f"1\n2\nint\n{-(1 << 63)} 0\n")
@@ -550,42 +554,35 @@ class TestColumnarRuns:
 
 
 class TestUpdateOverflow:
-    HALF = 1 << 62
+    #: The delta that takes the cube 1 2 3 4 (Σ|cells| = 10) to Σ|cells| = 2**63 - 1.
+    EDGE = (1 << 63) - 11
 
     @pytest.mark.parametrize("struct", ["fenwick", "hybrid"])
     @pytest.mark.parametrize("oracle", [[], ["--oracle"]])
     def test_sum_update_past_safe_bound_rejected(self, files, capsys, struct, oracle):
         cube = files("cube.txt", "1\n4\nint\n1 2 3 4\n")
-        lines = [f"update 0 {self.HALF}", "query 0 3", f"update 1 {self.HALF}", "query 0 3"]
+        lines = [f"update 0 {self.EDGE}", "query 0 3", "update 1 1", "query 0 3"]
         script = files("s.txt", "\n".join(lines) + "\n")
         code, out, err = run(capsys, ["query", struct, cube, script, *oracle])
         assert code == 1 and out == ""
         assert err == (
-            "error: line 1: overflow risk: |value| * cell count must stay below 2**62 for sum cubes\n"
+            f"error: line 3: int sum overflow: the sum of |cells| after the update is {1 << 63}; "
+            "exact int sums need it below 2**63\n"
         )
 
     def test_sum_update_within_bound_accepted(self, files, capsys):
         cube = files("cube.txt", "1\n4\nint\n1 2 3 4\n")
-        near = self.HALF // 4 - 2  # (near + 1) * 4 stays below 2**62
-        script = files("s.txt", f"update 0 {near}\nquery 0 3\n")
+        script = files("s.txt", f"update 0 {self.EDGE}\nquery 0 3\nquery 1 3\n")
         code, out, err = run(capsys, ["query", "fenwick", cube, script, "--oracle"])
-        assert code == 0 and out.splitlines()[0] == str(near + 10)
+        assert code == 0 and out.splitlines()[:2] == [str((1 << 63) - 1), "9"]
 
-    @pytest.mark.parametrize(
-        "struct, message",
-        [
-            ("fenwick", "overflow risk"),
-            ("hybrid", "overflow risk"),
-            ("fenwick:op=xor", "delta 99999999999999999999 does not fit a 64-bit signed integer"),
-            ("hybrid:op=xor", "delta 99999999999999999999 does not fit a 64-bit signed integer"),
-        ],
-    )
-    def test_delta_outside_int64_rejected(self, files, capsys, struct, message):
+    @pytest.mark.parametrize("struct", ["fenwick", "hybrid", "fenwick:op=xor", "hybrid:op=xor"])
+    def test_delta_outside_int64_rejected(self, files, capsys, struct):
         cube = files("cube.txt", "1\n4\nint\n1 2 3 4\n")
         script = files("s.txt", "query 0 3\nupdate 0 99999999999999999999\nquery 0 3\n")
         code, out, err = run(capsys, ["query", struct, cube, script])
         assert code == 1
-        assert err.startswith(f"error: line 2: {message}")
+        assert err.startswith("error: line 2: delta 99999999999999999999 does not fit a 64-bit signed integer")
 
 
 class TestBench:

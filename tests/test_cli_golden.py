@@ -33,7 +33,9 @@ CUBES = {
     "float2": "2\n2 2\nfloat\n1.5 2.0\n-3.25 4.0\n",
     "ones3x3": "2\n3 3\nint\n1 1 1 1 1 1 1 1 1\n",
     "weights1": "1\n4\nint\n1 3 1 2\n",
-    "big_sum": f"1\n4\nint\n{1 << 61} 0 0 0\n",
+    # Σ|cells| at 2**63 and just below it
+    "big_sum": f"1\n4\nint\n{1 << 62} {-(1 << 62)} 0 0\n",
+    "edge_sum": f"1\n4\nint\n{1 << 62} {-(1 << 62) + 1} 0 0\n",
     "int64_min": f"1\n2\nint\n{-(1 << 63)} 0\n",
     "int64_wrap": f"1\n3\nint\n{1 << 62} {1 << 62} {-(1 << 62)}\n",
     "float_sum_overflow": "1\n3\nfloat\n1e308 1e308 1.0\n",
@@ -95,9 +97,11 @@ CASES = [
     ("select-product-float-oracle", "select:op=product", "float_arrays", "select 1\nselect 3\nagg-select 2 0\n", True),
     # numeric-domain repros
     ("overflow-load-bound", "prefix:op=sum", "big_sum", "prefix 3\n", False),
+    ("sum-load-edge", "prefix:op=sum", "edge_sum", "prefix 0\nprefix 3\nquery 1 3\n", True),
     ("overflow-int64-min", "prefix:op=sum", "int64_min", "prefix 1\n", False),
     ("overflow-int64-wrap-fenwick", "fenwick", "int64_wrap", "query 0 1\n", False),
-    ("overflow-update-sum", "fenwick", "int1", "update 0 4611686018427387904\nquery 0 4\n", False),
+    # 3 1 4 1 5 updated to Σ|cells| = 2**63 - 1, then to 2**63
+    ("overflow-update-sum", "fenwick", "int1", "update 0 9223372036854775793\nquery 0 4\nupdate 1 1\nquery 0 4\n", False),
     ("overflow-update-hybrid", "hybrid", "int1", "query 0 4\nupdate 0 99999999999999999999\n", True),
     ("overflow-update-xor", "fenwick:op=xor", "int1", "query 0 4\nupdate 0 99999999999999999999\n", False),
     ("float-sum-overflow", "prefix", "float_sum_overflow", "query 0 0\nquery 2 2\n", False),

@@ -62,6 +62,19 @@ class TestMakeCube:
         with pytest.raises(ValueError, match="extents"):
             make_cube([2, 0], [])
 
+    def test_no_dimension(self):
+        with pytest.raises(ValueError, match="at least one dimension"):
+            make_cube([], [])
+
+    def test_cell_coordinates_checked(self):
+        cube = make_cube([2, 2], [1, 2, 3, 4])
+        with pytest.raises(ValueError, match="expected 2 coordinates, got 1"):
+            cube.cell((1,))
+        with pytest.raises(IndexError, match=r"coordinate 2 out of range \[0, 2\) in dimension 1"):
+            cube.cell((1, 2))
+        with pytest.raises(IndexError, match=r"coordinate -1 out of range \[0, 2\) in dimension 0"):
+            cube.cell((-1, 0))
+
     def test_dimension_ceiling(self):
         with pytest.raises(ValueError, match="ceiling"):
             make_cube([1] * 7, [1])
@@ -117,6 +130,11 @@ class TestMakeCube:
         with pytest.raises(ValueError, match="NaN"):
             make_cube([1], np.array([np.nan]), kind="int")
 
+    @pytest.mark.parametrize("values", [[1, 2], np.array([1, 2])], ids=["list", "ndarray"])
+    def test_unknown_kind_rejected(self, values):
+        with pytest.raises(ValueError, match="unknown cube kind 'decimal'"):
+            make_cube([2], values, kind="decimal")
+
     def test_ndarray_reshaped_to_dims(self):
         source = np.arange(6).reshape(3, 2).T
         cube = make_cube([2, 3], source)
@@ -125,6 +143,9 @@ class TestMakeCube:
         assert make_cube([2, 3], np.arange(6)).flat() == list(range(6))
         with pytest.raises(ValueError, match="value count 5"):
             make_cube([2, 3], np.arange(5))
+        # An array of another shape is not reshaped, even of the right size.
+        with pytest.raises(ValueError, match="value count 3"):
+            make_cube([2, 3], np.arange(6).reshape(3, 2))
 
     def test_list_kind_inferred_per_value(self):
         assert make_cube([3], [True, 2, np.int8(3)]).kind == "int"
@@ -149,6 +170,13 @@ class TestQueryBox:
         box = QueryBox([0, 0], [1, 2])
         with pytest.raises(IndexError, match="exceeds extent"):
             box.validate_for((2, 2))
+        with pytest.raises(ValueError, match="box has 2 dimensions, cube has 3"):
+            box.validate_for((2, 3, 4))
+
+    @pytest.mark.parametrize("lo, hi", [([0], [0, 1]), ([0, 1], [1]), ([], [])])
+    def test_widths_must_match(self, lo, hi):
+        with pytest.raises(ValueError, match="equal-length, non-empty"):
+            QueryBox(lo, hi)
 
     def test_slotted_box_copies_and_pickles(self):
         box = QueryBox([1, 0], [2, 3])
@@ -374,12 +402,13 @@ class TestRangeAggregateMany:
         assert list(map(repr, got)) == [repr(pc.range_aggregate(b)) for b in boxes] == ["0.0"] * 5
 
     def test_int_sum_matches_where_scalar_fits_int64(self):
-        # A table that could wrap past 2**63 is rejected at build; at the
-        # bound's edge every batched answer equals the scalar one and the scan.
-        with pytest.raises(ValueError, match="overflow risk"):
-            PrefixCube(make_cube([3], [1 << 62, 1 << 62, -(1 << 62)]), SUM)
-        edge = (1 << 62) // 3  # 3 * edge < 2**62
-        cube = make_cube([3], [edge, edge, -edge])
+        # A cube with Σ|cells| = 2**63 is rejected at build.  Just below it
+        # every batched answer equals the scalar one and the scan, though
+        # both int64 corner folds of the box [1, 1] x [1, 1] pass 2**63.
+        big = (1 << 62) + (1 << 61)
+        with pytest.raises(ValueError, match=f"overflow: the sum of \\|cells\\| is {1 << 63}"):
+            PrefixCube(make_cube([2, 2], [big, 0, 0, 1 << 61]), SUM)
+        cube = make_cube([2, 2], [big, 0, 0, -(1 << 61) + 1])
         pc = PrefixCube(cube, SUM)
         boxes = list(every_box(cube.dims))
         got = pc.range_aggregate_many(*box_arrays(boxes)).tolist()
@@ -420,7 +449,24 @@ class TestRangeAggregateMany:
         with pytest.raises(IndexError, match="box 1: .* extent 2 in dimension 0: hi 5"):
             pc.range_aggregate_many([[0, 0], [0, 0], [0, 0]], [[1, 1], [5, 1], [1, 9]])
 
+    @pytest.mark.parametrize(
+        "lo, hi, error, message",
+        [
+            # Box 0 has lo == hi and a coordinate 0, which a wrong comparison would name.
+            ([[0, 0], [1, 1]], [[0, 0], [0, 1]], ValueError, r"box 1: empty box in dimension 0: lo 1 > hi 0"),
+            ([[0, 0], [0, -1]], [[0, 0], [1, 1]], ValueError, r"box 1: negative coordinate -1 in dimension 1"),
+            ([[0, 0], [0, 0]], [[1, 1], [1, 2]], IndexError, r"box 1: box exceeds extent 2 in dimension 1: hi 2"),
+        ],
+    )
+    def test_each_check_names_its_box(self, lo, hi, error, message):
+        pc = PrefixCube(make_cube([2, 2], [1, 2, 3, 4]), SUM)
+        with pytest.raises(error, match=f"^{message}$"):
+            pc.range_aggregate_many(lo, hi)
+
     def test_empty_batch(self):
         pc = PrefixCube(make_cube([2, 2], [1, 2, 3, 4]), SUM)
+        assert pc.lookups_last_query == 0
+        pc.range_aggregate(QueryBox([0, 0], [1, 1]))
         empty = np.zeros((0, 2), dtype=np.int64)
         assert pc.range_aggregate_many(empty, empty).tolist() == []
+        assert pc.lookups_last_query == 0

@@ -118,6 +118,12 @@ class TestHybrid:
         assert hc.k == 3  # ceil(sqrt(5))
         assert hc.q == 1
 
+    @pytest.mark.parametrize("dims, k, q, update, query", [([4, 4], 2, 1, 8, 8), ([9, 2, 2], 3, 1, 72, 24)])
+    def test_stated_cell_bounds(self, dims, k, q, update, query):
+        # 2**q * (k + ceil(n/k))**(d-q) and (k + ceil(n/k))**q * 2**(d-q).
+        hc = HybridCube(zero_cube(dims), SUM, k=k, q=q)
+        assert (hc.update_cell_bound, hc.query_cell_bound) == (update, query)
+
     def test_prefix_example(self):
         cube = make_cube([4, 4], range(1, 17))
         hc = HybridCube(cube, SUM, k=2, q=1)
@@ -401,33 +407,46 @@ class TestCrossStructure:
     @pytest.mark.parametrize("name", sorted(STRUCTURES))
     @pytest.mark.parametrize("op", [SUM, XOR], ids=["sum", "xor"])
     def test_delta_outside_int64_rejected(self, name, op):
-        # A sum delta past int64 breaks the per-cell bound first.
         structure = STRUCTURES[name](make_cube([4], [1, 2, 3, 4]), op)
         before = structure.table.copy()
         for delta in (1 << 63, -(1 << 63) - 1, 99999999999999999999):
-            message = "overflow risk" if op is SUM else f"delta {delta} does not fit"
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match=f"delta {delta} does not fit"):
                 structure.update([0], delta)
-        with pytest.raises(ValueError, match="overflow risk" if op is SUM else "does not fit"):
+        with pytest.raises(ValueError, match="does not fit"):
             structure.set_value([0], 1 << 70)
         assert (structure.table == before).all()
         assert structure.point_read([0]) == 1
 
     @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    @pytest.mark.parametrize("op", [SUM, XOR], ids=["sum", "xor"])
+    def test_delta_at_int64_edges_accepted(self, name, op):
+        structure = STRUCTURES[name](make_cube([2], [1, 0]), op)
+        twin = make_cube([2], [1, 0])
+        for delta in (-(1 << 63), (1 << 63) - 1):
+            structure.update([0], delta)
+            twin.values[0] = op.combine(twin.cell((0,)), delta)
+            assert structure.range_query(QueryBox([0], [1])) == brute_force_range(twin, QueryBox([0], [1]), op)
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
     def test_sum_cell_outside_int64_rejected(self, name):
-        # Four cells: every cell must keep |value| * 4 below 2**62.
-        edge = (1 << 60) - 1
+        # Updates may take Σ|cells| to 2**63 - 1, not to 2**63, so no cell
+        # leaves int64.
+        edge = 1 << 62
         structure = STRUCTURES[name](make_cube([4], [1, 2, 3, 4]), SUM)
         structure.update([0], edge - 1)
-        structure.set_value([1], -edge)
+        structure.set_value([1], -edge + 8)
         before = structure.table.copy()
-        with pytest.raises(ValueError, match="overflow risk"):
+        with pytest.raises(ValueError, match=f"the sum of \\|cells\\| after the update is {1 << 63}"):
             structure.update([0], 1)
-        with pytest.raises(ValueError, match="overflow risk"):
-            structure.set_value([1], -edge - 1)
+        with pytest.raises(ValueError, match=f"is {1 << 63}"):
+            structure.set_value([1], -edge + 7)
+        with pytest.raises(ValueError, match=f"is {(1 << 63) + 1}"):
+            structure.update([3], -10)
         assert (structure.table == before).all()
         assert structure.point_read([0]) == edge
-        assert structure.range_query(QueryBox([0], [3])) == edge - edge + 3 + 4
+        assert structure.range_query(QueryBox([0], [3])) == edge - edge + 8 + 3 + 4
+        structure.update([3], -4)
+        assert structure.range_query(QueryBox([0], [3])) == 11
 
     @pytest.mark.parametrize("name", sorted(STRUCTURES))
     @pytest.mark.parametrize("op", [SUM, PRODUCT], ids=["sum", "product"])
@@ -472,6 +491,16 @@ class TestCrossStructure:
         got = structure.range_query(QueryBox([1], [1]))
         assert (got, structure.point_read((1,))) == (0.0, 100.0)
         assert float_sum_error_bound(1, 2, 1e16 + 100) < 100.0 <= structure.tolerance[1]
+        # The bound counts the cells plus two terms per update, and Σ|cells| + Σ|deltas|.
+        small = STRUCTURES[name](make_cube([2], [1.0, -2.0]), SUM)
+        for delta in (0.5, -0.25, 0.5):
+            small.update((1,), delta)
+        assert small.tolerance == (0.0, float_sum_error_bound(1, 2 + 2 * 3, 3.0 + 1.25))
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    def test_counters_start_at_zero(self, name):
+        structure = STRUCTURES[name](make_cube([2, 2], [1, 2, 3, 4]), SUM)
+        assert structure.cells_touched_last_update == structure.cells_touched_last_query == 0
 
     def test_random_scripts_agree(self):
         """Fenwick, hybrid variants and a rebuilt prefix cube answer identically."""

@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from rangecube import QueryBox, make_cube
@@ -469,8 +470,22 @@ class TestCubeMedian:
     )
     def test_int_tables_past_bound_rejected(self, scale0):
         cube = make_cube([4, 4], [2**40] * 16)
-        with pytest.raises(ValueError, match="overflow risk"):
+        with pytest.raises(ValueError, match=r"overflow: the weight sum \* max\(peak \|scale\|, 1\)"):
             CubeMedianIndex(cube, [scale0, [2**31 - 4, 2**31 - 3, 2**31 - 2, 2**31 - 1]])
+
+    @pytest.mark.parametrize("kind", [int, np.int64])
+    def test_int_tables_at_bound(self, kind):
+        # The weight sum W is 2**40 + 1, so W * peak |scale| reaches 2**63 at
+        # the scale below; one less is exact.  A cost term then nears
+        # 2 * W * peak |scale|, past int64: numpy scales fold as Python ints.
+        weights = make_cube([2], [2**40, 1])
+        peak = -(-(1 << 63) // (2**40 + 1))
+        with pytest.raises(ValueError, match=f"is {(2**40 + 1) * peak}"):
+            CubeMedianIndex(weights, [[kind(-peak), kind(0)]])
+        scales = [[kind(-peak + 1), kind(peak - 1)]]
+        idx = CubeMedianIndex(weights, scales)
+        box = QueryBox([0], [1])
+        assert cube_range_weighted_median(idx, box).cost == brute_force_median(weights, scales, box)
 
     def test_int_tables_below_bound_exact(self):
         rng = random.Random(53)

@@ -1,7 +1,6 @@
 """The numeric domain every structure accepts, checked at its edges.
 
-Int sum cells keep ``|value| * cells`` below ``2**62``; product needs a float
-cube; float cells, deltas and scales are finite.  What a structure cannot
+Int sum cubes keep Σ|cells| below ``2**63``; product needs a float cube; float cells, deltas and scales are finite.  What a structure cannot
 answer exactly raises a ``ValueError`` that names the cause.
 """
 
@@ -30,6 +29,7 @@ from rangecube import (
     make_cube,
 )
 from rangecube.dynamic import FenwickCube, HybridCube
+from rangecube.rmq import DimensionGrouping, grouped_base_case
 
 TABLES = {
     "prefix": PrefixCube,
@@ -37,7 +37,10 @@ TABLES = {
     "hybrid": lambda cube, op: HybridCube(cube, op, k=min(2, max(cube.dims))),
 }
 
+GROUPING = DimensionGrouping([0], [0], [1])
+
 FLOAT_MAX = float(np.finfo(np.float64).max)
+TINY = float(np.finfo(np.float64).tiny)
 EPS = float(np.finfo(np.float64).eps)
 
 
@@ -52,23 +55,31 @@ class TestIntSumBound:
     @pytest.mark.parametrize("name", sorted(TABLES))
     @pytest.mark.parametrize(
         "values",
-        [[2**62, 2**62, -(2**62)], [2**62, 2**62, 1, 1], [-(2**63), 0]],
-        ids=["wrap", "hybrid-repro", "int64-min"],
+        [
+            [2**62, 2**62, -(2**62)], [2**62, 2**62, 1, 1], [-(2**63), 0], [2**62, -(2**62)],
+            [-(2**63)] * 3 + [7], [-(2**63)] * 4 + [7],
+        ],
+        ids=["wrap", "hybrid-repro", "int64-min", "at-bound", "past-2**64", "past-2**65"],
     )
     def test_cube_that_could_wrap_rejected(self, name, values):
-        # At the parent the box [0, 1] of the first two read -2**63, not 2**63.
-        with pytest.raises(ValueError, match=r"overflow risk: \|value\| \* cell count"):
+        # Before tables were checked the box [0, 1] of the first two read
+        # -2**63, not 2**63.
+        mass = sum(map(abs, values))
+        with pytest.raises(ValueError, match=rf"int sum overflow: the sum of \|cells\| is {mass};"):
             TABLES[name](make_cube([len(values)], values), SUM)
 
     @pytest.mark.parametrize("name", ["fenwick", "hybrid"])
     def test_updates_past_bound_rejected(self, name):
         structure = TABLES[name](make_cube([2], [0, 0]), SUM)
-        with pytest.raises(ValueError, match="overflow risk"):
-            structure.update([0], 2**62)
-        assert not structure.table.any()
-        structure.update([0], 2**61 - 1)
-        structure.update([1], 2**61 - 1)
-        assert read(structure, QueryBox([0], [1])) == 2**62 - 2
+        structure.update([0], 2**63 - 1)
+        before = structure.table.copy()
+        for cell, delta in (([1], 1), ([1], -1), ([0], 1)):
+            with pytest.raises(ValueError, match=rf"after the update is {2**63}"):
+                structure.update(cell, delta)
+        assert (structure.table == before).all()
+        structure.update([0], -1)
+        structure.update([1], -1)
+        assert read(structure, QueryBox([0], [1])) == 2**63 - 3
 
     @pytest.mark.parametrize("name", ["fenwick", "hybrid"])
     @pytest.mark.parametrize("op", [SUM, XOR], ids=["sum", "xor"])
@@ -83,16 +94,67 @@ class TestIntSumBound:
         structure.update([0], np.int64(-1))
         assert structure.point_read([0]) == op.combine(1, -1)
         if op is SUM:  # a numpy delta is combined exactly, not in int64
-            with pytest.raises(ValueError, match="overflow risk"):
+            with pytest.raises(ValueError, match=f"is {2**63 + 8}"):
                 structure.update([1], np.int64(2**63 - 1))
 
     @pytest.mark.parametrize("name", sorted(TABLES))
     def test_bound_edge_exact(self, name):
-        edge = (1 << 62) // 6 - 1
-        cube = make_cube([2, 3], [edge, -edge, edge, edge, edge, -edge])
+        # Σ|cells| = 2**63 - 1: six cells of magnitude 2**63 // 6, one of them one more.
+        edge = (1 << 63) // 6
+        cube = make_cube([2, 3], [edge, -edge, edge + 1, edge, edge, -edge])
         structure = TABLES[name](cube, SUM)
         for box in (QueryBox([0, 0], [1, 2]), QueryBox([1, 0], [1, 1]), QueryBox([0, 1], [0, 1])):
             assert read(structure, box) == brute_force_range(cube, box, SUM)
+
+
+    @pytest.mark.parametrize("skewed", [False, True], ids=["uniform", "one-big-cell"])
+    def test_cubes_the_old_bound_refused_are_exact(self, skewed):
+        # |peak| * cells reached 2**62 on both: a 128 x 128 cube uniform in
+        # ±2**49 (Σ|cells| near 2**62), and small cells with one of 2**55.
+        rng = np.random.default_rng(7)
+        if skewed:
+            values = rng.integers(-100, 101, size=(128, 128))
+            values[5, 9] = 2**55
+        else:
+            values = rng.integers(-(2**49), 2**49, size=(128, 128))
+        cube = make_cube([128, 128], values)
+        exact = np.zeros((129, 129), dtype=object)
+        exact[1:, 1:] = values.astype(object).cumsum(0).cumsum(1)
+        lo = rng.integers(0, 128, size=(200, 2))
+        hi = lo + (rng.random((200, 2)) * (128 - lo)).astype(np.int64)
+        want = [
+            exact[b0 + 1, b1 + 1] - exact[a0, b1 + 1] - exact[b0 + 1, a1] + exact[a0, a1]
+            for (a0, a1), (b0, b1) in zip(lo.tolist(), hi.tolist())
+        ]
+        for name in sorted(TABLES):
+            structure = TABLES[name](cube, SUM)
+            assert [read(structure, QueryBox(a, b)) for a, b in zip(lo, hi)] == want, name
+        assert PrefixCube(cube, SUM).range_aggregate_many(lo, hi).tolist() == want
+
+    @pytest.mark.parametrize("name", ["fenwick", "hybrid"])
+    def test_a_cell_of_a_32_cubed_table_takes_2_to_62(self, name):
+        # The old bound capped every cell of a 32**3 cube below 2**47.
+        structure = TABLES[name](make_cube([32, 32, 32], [0] * 32**3), SUM)
+        structure.update((5, 6, 7), 2**62)
+        structure.update((31, 31, 31), -(2**62) + 1)
+        assert read(structure, QueryBox([0, 0, 0], [31, 31, 31])) == 1
+        assert read(structure, QueryBox([5, 6, 7], [30, 31, 31])) == 2**62
+
+    @pytest.mark.parametrize("name", ["fenwick", "hybrid"])
+    def test_set_value_whose_delta_leaves_int64(self, name):
+        # Each set keeps Σ|cells| below 2**63, but its delta 2**63 or
+        # -(2**63 - 1) - 2**62 does not fit int64.
+        structure = TABLES[name](make_cube([2], [-(2**62), 0]), SUM)
+        for cell, value in (([0], 2**62), ([1], -(2**62) + 1), ([0], -(2**62)), ([1], 2**62 - 1)):
+            structure.set_value(cell, value)
+            cube = make_cube([2], structure.shadow)
+            for box in (QueryBox([0], [0]), QueryBox([1], [1]), QueryBox([0], [1])):
+                assert read(structure, box) == brute_force_range(cube, box, SUM)
+        before = structure.table.copy()
+        with pytest.raises(ValueError, match=rf"after the update is {2**63}"):
+            structure.set_value([1], 2**62)
+        assert (structure.table == before).all()
+        assert structure.shadow.tolist() == [-(2**62), 2**62 - 1]
 
 
 class TestProduct:
@@ -188,6 +250,42 @@ class TestNonFinite:
             pc.range_aggregate_many([[1]], [[2]])
 
 
+class TestExactEdges:
+    """Values exactly at ``tiny`` (the smallest normal float) and at the
+    largest float are inside the domain, so each ``<`` and ``<=`` there
+    is pinned."""
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_tiny_product_cell_and_entry_accepted(self, name):
+        cell = TABLES[name](make_cube([2], [TINY, 2.0]), PRODUCT)
+        assert read(cell, QueryBox([0], [0])) == TINY
+        # No cell is tiny, but the prefix over both and the box answer are.
+        entry = TABLES[name](make_cube([2], [0.5, 2 * TINY]), PRODUCT)
+        assert read(entry, QueryBox([0], [1])) == TINY
+        if name == "prefix":
+            assert entry.range_aggregate_many([[0]], [[1]]).tolist() == [TINY]
+
+    @pytest.mark.parametrize("name", ["fenwick", "hybrid"])
+    def test_tiny_product_update_accepted(self, name):
+        updated = TABLES[name](make_cube([2], [1.0, 4.0]), PRODUCT)
+        updated.update([0], TINY)  # the cell becomes tiny
+        assert updated.shadow.tolist() == [TINY, 4.0]
+        assert read(updated, QueryBox([0], [0])) == TINY
+        set_ = TABLES[name](make_cube([2], [4.0, 1.0]), PRODUCT)
+        set_.set_value([0], 4 * TINY)  # the delta is tiny
+        assert set_.shadow.tolist() == [4 * TINY, 1.0]
+        assert read(set_, QueryBox([0], [1])) == 4 * TINY
+
+    @pytest.mark.parametrize("name", ["fenwick", "hybrid"])
+    def test_largest_float_delta_and_cell_accepted(self, name):
+        structure = TABLES[name](make_cube([2], [-FLOAT_MAX, 0.0]), SUM)
+        structure.update([0], FLOAT_MAX)  # the delta is the largest float
+        structure.update([1], FLOAT_MAX)  # and so is the cell it leaves
+        structure.set_value([0], -FLOAT_MAX)
+        assert structure.shadow.tolist() == [-FLOAT_MAX, FLOAT_MAX]
+        assert read(structure, QueryBox([1], [1])) == FLOAT_MAX
+
+
 class TestMedianDomain:
     def test_nan_weight_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -230,6 +328,53 @@ class TestMedianDomain:
         assert cube_range_weighted_median(idx, QueryBox([0], [0])).cost == 0.0
 
 
+class TestCoordinates:
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0.5, 1.7), (0, 1.0), ("0", 1), (np.float64(1), 1), (np.int64(0), np.int32(1)), (True, 2)],
+    )
+    def test_scalar_and_batched_reads_agree(self, lo, hi):
+        # At the parent the scalar read truncated 0.5 and 1.7 and answered
+        # the box [0, 1] (3), while the batched read raised.
+        pc = PrefixCube(make_cube([4], [1, 2, 3, 4]), SUM)
+        lo_arr, hi_arr = np.array([[lo]]), np.array([[hi]])
+        if lo_arr.dtype.kind in "biu" and hi_arr.dtype.kind in "biu":
+            answer = pc.range_aggregate(QueryBox([lo], [hi]))
+            assert pc.range_aggregate_many(lo_arr, hi_arr).tolist() == [answer]
+            assert answer == sum(range(int(lo) + 1, int(hi) + 2))
+            return
+        with pytest.raises(ValueError, match="box coordinate must be an integer"):
+            pc.range_aggregate(QueryBox([lo], [hi]))
+        with pytest.raises(ValueError, match="box coordinates must be 64-bit integers"):
+            pc.range_aggregate_many(lo_arr, hi_arr)
+
+    @pytest.mark.parametrize(
+        "call, shown",
+        [
+            (lambda: FenwickCube(make_cube([4], [1, 2, 3, 4]), SUM).update((1.9,), 5), "1.9"),
+            (lambda: HybridCube(make_cube([4], [1, 2, 3, 4]), SUM).point_read(("2",)), "'2'"),
+            (lambda: make_cube([4], [1, 2, 3, 4]).cell((1.5,)), "1.5"),
+            (lambda: grouped_base_case(make_cube([4], [1, 2, 3, 4]), GROUPING, (1.5,)), "1.5"),
+            (lambda: grouped_base_case(make_cube([4], [1, 2, 3, 4]), GROUPING, ("1",)), "'1'"),
+            (lambda: SparseTable(make_cube([4], [1, 2, 3, 4])).block_value((1.5,), (0,)), "1.5"),
+            (lambda: SparseTable(make_cube([4], [1, 2, 3, 4])).block_value((1,), (0.5,)), "0.5"),
+        ],
+        ids=["update", "point-read", "cell", "grouped-anchor", "grouped-anchor-str", "block-anchor", "block-level"],
+    )
+    def test_non_integer_rejected(self, call, shown):
+        # At the parent each truncated the value or leaked numpy's TypeError.
+        with pytest.raises(ValueError, match=f"must be an integer, got {shown}$"):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        cube = make_cube([4], [1, 2, 3, 4])
+        fenwick = FenwickCube(cube, SUM)
+        fenwick.update((np.int64(1),), 5)
+        assert fenwick.point_read([np.uint8(1)]) == cube.cell((np.int32(1),)) + 5 == 7
+        assert grouped_base_case(cube, GROUPING, (np.int64(2),)) == 3
+        assert SparseTable(cube).block_value((np.int64(2),), (np.int64(1),)) == 3
+
+
 def test_float_sum_error_bound():
     assert float_sum_error_bound(1, 3, 0.6) == 0.6 * 8 * 3 * EPS
     assert float_sum_error_bound(2, 4, Fraction(3, 2)) == 1.5 * 16 * 4 * EPS
@@ -247,7 +392,10 @@ def test_float_product_error_bound():
 
 
 def int_edges(cells: int) -> list:
-    return [0, 1, -1, 2**62 // cells, -(2**62 // cells), 2**62, -(2**62), -(2**63), 2**63 - 1]
+    return [
+        0, 1, -1, 2**62 // cells, -(2**62 // cells), (2**63 - 1) // cells,
+        2**62, -(2**62), -(2**63), 2**63 - 1,
+    ]
 
 
 FINITE_FLOAT_EDGES = [-0.0, 5e-324, 1e308, -1e308, 1e-200, FLOAT_MAX]
@@ -281,7 +429,7 @@ def edge_cases(draw):
     kind = draw(st.sampled_from(["int", "float"]))
     # Half the cubes draw only values every structure accepts.
     pool = int_edges(cells) if kind == "int" else FLOAT_EDGES
-    accepted = pool[:5] if kind == "int" else FINITE_FLOAT_EDGES
+    accepted = pool[:6] if kind == "int" else FINITE_FLOAT_EDGES
     chosen = draw(st.sampled_from([accepted, pool]))
     values = draw(st.lists(st.sampled_from(chosen), min_size=cells, max_size=cells))
     boxes = []
