@@ -57,6 +57,7 @@ from .cube import (
     _corners,
     _float_mass,
     _fold_corners,
+    _indices,
     _int_mass,
     _quiet,
     _rounding_tolerance,
@@ -328,12 +329,12 @@ class HybridCube(_AxisProductTable):
             k = math.isqrt(n - 1) + 1 if n > 1 else 1
         if q is None:
             q = cube.ndim // 2
+        (k,), (q,) = _indices([k], "block size k"), _indices([q], "split count q")
         if not 1 <= k <= n:
             raise ValueError(f"block size k must be in [1, {n}], got {k}")
         if not 0 <= q <= cube.ndim:
             raise ValueError(f"split count q must be in [0, {cube.ndim}], got {q}")
-        self.k = int(k)
-        self.q = int(q)
+        self.k, self.q = k, q
         schemes = tuple(
             (_OuterAxis if j < self.q else _InnerAxis)(m, self.k)
             for j, m in enumerate(cube.dims)

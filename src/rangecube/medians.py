@@ -44,6 +44,7 @@ from .cube import (
     _check_int_sum,
     _corner_offsets,
     _fold_corners,
+    _indices,
     _interior,
     _padded_prefix_table,
     _padded_strides,
@@ -424,9 +425,12 @@ class MedianIndex:
     def __len__(self) -> int:
         return len(self.points)
 
-    def _check(self, i: int, p: int):
+    def _check(self, i: int, p: int) -> tuple:
+        """``(i, p)`` as ints, once they name a position range of the points."""
+        i, p = _indices((i, p), "position")
         if not 0 <= i <= p < len(self.points):
             raise IndexError(f"invalid position range [{i}, {p}]")
+        return i, p
 
     def _wsum_raw(self, i: int, p: int):
         self.probes_last_query += 1
@@ -435,17 +439,16 @@ class MedianIndex:
         return self.wpsum[p + 1] - self.wpsum[i]
 
     def wsum(self, i: int, p: int):
-        self._check(i, p)
-        return self._wsum_raw(i, p)
+        return self._wsum_raw(*self._check(i, p))
 
     def wsum_lr(self, i: int, p: int):
-        self._check(i, p)
+        i, p = self._check(i, p)
         self.probes_last_query += 1
         w = self.wpsum[p + 1] - self.wpsum[i]
         return w * self.points.xs[p] - (self.wdpsum[p + 1] - self.wdpsum[i])
 
     def wsum_rl(self, i: int, p: int):
-        self._check(i, p)
+        i, p = self._check(i, p)
         self.probes_last_query += 1
         w = self.wpsum[p + 1] - self.wpsum[i]
         return (self.wdpsum[p + 1] - self.wdpsum[i]) - w * self.points.xs[i]
@@ -476,7 +479,7 @@ def range_weighted_median(idx: MedianIndex, i: int, j: int):
     Uses O(log n) probes (binary search on the weight balance plus two cost
     evaluations); cost equals the brute-force minimum over all positions.
     """
-    idx._check(i, j)
+    i, j = idx._check(i, j)
     idx.probes_last_query = 0
 
     def balance(r):

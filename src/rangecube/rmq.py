@@ -18,17 +18,22 @@ distinct values.  An int cube whose values span at most its cell count is
 ranked by counting (a presence array over the span and its running count),
 with no sort; any other cube is ranked by ``np.unique``.  Level ``k``
 holds only the anchors whose block fits the cube (``extent[j] - side[j] + 1``
-of them in dimension ``j``).  Levels are filled in increasing lexicographic
-order of the k-tuples; each step halves a single group (two shifted child
+of them in dimension ``j``).  All levels share one C-ordered buffer, level
+``i`` at offset ``_bases[i]`` with element strides ``_strides[i]``, and
+``tables`` holds a view of it per level tuple.  Levels are filled in
+increasing lexicographic order of the k-tuples, each folded from its child
+straight into its slice; each step halves a single group (two shifted child
 blocks per dimension of that group).  Level 0 is one sliding-window fold per
 dimension with ``stretch[j] > 1``, built from the same two-view step with a
 doubling window.  Queries combine ``2**d`` overlapping blocks, one anchored at
-each corner mix of the box.
+each corner mix of the box; a batch reads each corner mix with one gather at
+the flat offsets ``base + sum(anchor[j] * stride[j])``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -58,9 +63,9 @@ class DimensionGrouping:
     stretch: tuple
 
     def __init__(self, group_of: Sequence[int], base_dim: Sequence[int], stretch: Sequence[int]):
-        group_of = tuple(int(g) for g in group_of)
-        base_dim = tuple(int(b) for b in base_dim)
-        stretch = tuple(int(f) for f in stretch)
+        group_of = _indices(group_of, "group id")
+        base_dim = _indices(base_dim, "base dimension")
+        stretch = _indices(stretch, "stretch factor")
         d, e = len(group_of), len(base_dim)
         if len(stretch) != d:
             raise ValueError("stretch must list one factor per dimension")
@@ -167,35 +172,38 @@ class SparseTable:
     def _block_len(self, j: int, kt: tuple) -> int:
         return self.grouping.stretch[j] << kt[self.grouping.group_of[j]]
 
-    def _fold(self, arr: np.ndarray, shifts: dict) -> np.ndarray:
+    def _fold(self, arr: np.ndarray, shifts: dict, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Combine the ``2**len(shifts)`` views of ``arr`` that start at 0 or
         at ``shifts[j]`` along each axis j in ``shifts``: where ``arr`` holds
         blocks of side L along j, the result holds blocks of side
-        ``L + shifts[j]`` (``shifts[j] <= L``), with ``shifts[j]`` fewer anchors."""
+        ``L + shifts[j]`` (``shifts[j] <= L``), with ``shifts[j]`` fewer
+        anchors.  It is written to ``out`` where one is given."""
         ext = [m - shifts.get(j, 0) for j, m in enumerate(arr.shape)]
-        # Fold from a copy of the first view, not the view itself: without the
-        # copy, repeated builds of a 512x512 cube's uint16 rank tables in one
-        # process took ~37 ms of CPU each against ~22 ms (2-core Xeon VM,
-        # numpy 2.4).
         acc = None
         for starts in itertools.product(*((0, t) for t in shifts.values())):
             at = dict(zip(shifts, starts))
             view = arr[tuple(slice(at.get(j, 0), at.get(j, 0) + e) for j, e in enumerate(ext))]
-            acc = view.copy() if acc is None else self._ufunc(acc, view)
+            acc = view if acc is None else self._ufunc(acc, view, out=out)
         return acc
 
     def _build(self, ranks: np.ndarray):
         g = self.grouping
-        zero = (0,) * g.ngroups
-        self.tables[zero] = self._base_level(ranks)
-        for kt in itertools.product(*(range(km + 1) for km in self.kmax)):
-            if kt == zero:
+        levels = list(itertools.product(*(range(km + 1) for km in self.kmax)))
+        shapes = [tuple(m + 1 - self._block_len(j, kt) for j, m in enumerate(self.dims))
+                  for kt in levels]
+        sizes = [math.prod(shape) for shape in shapes]
+        self._bases = tuple(itertools.accumulate(sizes[:-1], initial=0))
+        self._strides = tuple(tuple(math.prod(s[j + 1:]) for j in range(g.ndim)) for s in shapes)
+        buffer = np.empty(sum(sizes), dtype=ranks.dtype)
+        for kt, shape, base, size in zip(levels, shapes, self._bases, sizes):
+            out = self.tables[kt] = buffer[base:base + size].reshape(shape)
+            if not any(kt):
+                np.copyto(out, self._base_level(ranks))
                 continue
             h = next(h for h, k in enumerate(kt) if k > 0)
             child_kt = kt[:h] + (kt[h] - 1,) + kt[h + 1:]
-            self.tables[kt] = self._fold(
-                self.tables[child_kt],
-                {j: self._block_len(j, child_kt) for j in g.members(h)},
+            self._fold(
+                self.tables[child_kt], {j: self._block_len(j, child_kt) for j in g.members(h)}, out
             )
 
     def _base_level(self, ranks: np.ndarray) -> np.ndarray:
@@ -217,19 +225,21 @@ class SparseTable:
 
     # -- queries -----------------------------------------------------------
 
-    def _check_shape(self, box: QueryBox):
-        """Raise the ValueError naming the first dimension whose box length
-        breaks the shape constraint."""
+    def _check_shapes(self, lengths: np.ndarray) -> np.ndarray:
+        """The base dimensions' lengths of the N x d box ``lengths``, once
+        every box keeps the shape constraint; else the ValueError naming the
+        first box and dimension that breaks it."""
         g = self.grouping
-        lengths = box.lengths
-        for gid in range(g.ngroups):
-            base_len = lengths[g.base_dim[gid]]
-            for j in g.members(gid):
-                if lengths[j] != g.stretch[j] * base_len:
-                    raise ValueError(
-                        f"box length {lengths[j]} in dimension {j} violates the shape "
-                        f"constraint stretch[{j}] * base length = {g.stretch[j]} * {base_len}"
-                    )
+        base_lengths = lengths[:, list(g.base_dim)]
+        broken = lengths != base_lengths[:, list(g.group_of)] * np.array(g.stretch)
+        if broken.any():
+            i, j = _first_true(broken)
+            raise ValueError(
+                f"box {i}: box length {lengths[i, j]} in dimension {j} violates the shape "
+                f"constraint stretch[{j}] * base length = "
+                f"{g.stretch[j]} * {base_lengths[i, g.group_of[j]]}"
+            )
+        return base_lengths
 
     def query(self, box: QueryBox):
         """Min/max over a shape-constrained box from ``2**d`` block lookups.
@@ -246,7 +256,7 @@ class SparseTable:
         lengths = [b - a + 1 for a, b in zip(lo, hi)]
         base = [lengths[b] for b in g.base_dim]
         if lengths != [f * base[gid] for f, gid in zip(g.stretch, g.group_of)]:
-            self._check_shape(box)
+            self._check_shapes(np.array([lengths]))
         kt = tuple([self.log2floor[n] for n in base])
         anchors = [
             (a, b + 1 - (f << kt[gid])) for a, b, f, gid in zip(lo, hi, g.stretch, g.group_of)
@@ -259,43 +269,28 @@ class SparseTable:
         """Answers for the shape-constrained boxes ``[lo[i], hi[i]]`` of two
         N x d integer arrays.
 
-        Boxes are grouped by level tuple; each group takes ``2**d`` gathers
-        of ranks from its level's table, and one gather into ``distinct``
-        maps every rank back, so the answers keep the cube's dtype.  Answer
-        ``i`` equals ``query(QueryBox(lo[i], hi[i]))`` after ``.tolist()``,
-        the sign of zero included.  Afterwards :attr:`lookups_last_query`
-        holds the per-box count.
+        A box's level tuple gives its level's base and strides in the one
+        buffer, so each of the ``2**d`` corner mixes is one gather of ranks
+        for every box, and one gather into ``distinct`` maps the ranks back,
+        so the answers keep the cube's dtype.  Answer ``i`` equals
+        ``query(QueryBox(lo[i], hi[i]))`` after ``.tolist()``, the sign of
+        zero included.  Afterwards :attr:`lookups_last_query` holds the
+        per-box count.
         """
         lo, hi = _check_boxes(lo, hi, self.dims)
         g = self.grouping
-        lengths = hi - lo + 1
-        base_lengths = lengths[:, list(g.base_dim)]
-        wanted = base_lengths[:, list(g.group_of)] * np.array(g.stretch)
-        if (lengths != wanted).any():
-            i, j = _first_true(lengths != wanted)
-            raise ValueError(
-                f"box {i}: box length {lengths[i, j]} in dimension {j} violates the shape "
-                f"constraint stretch[{j}] * base length = "
-                f"{g.stretch[j]} * {base_lengths[i, g.group_of[j]]}"
-            )
-        levels = np.array(self.log2floor)[base_lengths]
-        key = np.ravel_multi_index(tuple(levels.T), [km + 1 for km in self.kmax])
-        order = np.argsort(key, kind="stable")
-        ranks = np.empty(len(lo), dtype=self.tables[(0,) * g.ngroups].dtype)
-        for rows in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
-            if not rows.size:
-                continue
-            kt = tuple(levels[rows[0]].tolist())
-            table = self.tables[kt]
-            near = lo[rows]
-            far = near + lengths[rows] - [self._block_len(j, kt) for j in range(g.ndim)]
-            best = None
-            for s in itertools.product((0, 1), repeat=g.ndim):
-                rank = table[tuple((far if sj else near)[:, j] for j, sj in enumerate(s))]
-                best = rank if best is None else self._ufunc(best, rank)
-            ranks[rows] = best
+        levels = np.array(self.log2floor)[self._check_shapes(hi - lo + 1)]
+        level = np.ravel_multi_index(tuple(levels.T), [km + 1 for km in self.kmax])
+        strides = np.array(self._strides)[level]
+        far = hi + 1 - (np.array(g.stretch) << levels[:, list(g.group_of)])
+        bases = np.array(self._bases)[level]
+        buffer = self.tables[(0,) * g.ngroups].base
+        best = None
+        for picks in itertools.product(*zip((lo * strides).T, (far * strides).T)):
+            rank = buffer[sum(picks, bases)]
+            best = rank if best is None else self._ufunc(best, rank, out=best)
         self.lookups_last_query = 1 << g.ndim if len(lo) else 0
-        return self.distinct[ranks]
+        return self.distinct[best]
 
     def block_value(self, anchor: Sequence[int], kt: Sequence[int]):
         """Table entry: the aggregate of the block anchored at ``anchor``."""

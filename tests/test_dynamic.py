@@ -113,6 +113,15 @@ class TestHybrid:
         with pytest.raises(ValueError, match="split count"):
             HybridCube(zero_cube([4]), SUM, q=2)
 
+    @pytest.mark.parametrize("k, q, match", [(2.5, 0, "block size k .*2.5"), (2, 0.5, "split count q .*0.5")])
+    def test_non_integer_parameters_rejected(self, k, q, match):
+        with pytest.raises(ValueError, match=match):
+            HybridCube(make_cube([4], [1, 2, 3, 4]), SUM, k=k, q=q)
+
+    def test_numpy_int_parameters(self):
+        hc = HybridCube(zero_cube([4, 4]), SUM, k=np.int64(2), q=np.uint8(1))
+        assert (hc.k, hc.q) == (2, 1) and type(hc.k) is int and type(hc.q) is int
+
     def test_defaults(self):
         hc = HybridCube(zero_cube([5, 5]), SUM)
         assert hc.k == 3  # ceil(sqrt(5))

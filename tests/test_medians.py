@@ -382,6 +382,20 @@ class TestRangeWeightedMedian:
         with pytest.raises(IndexError):
             range_weighted_median(idx, 1, 0)
 
+    def test_positions_must_be_integers(self):
+        idx = MedianIndex(WeightedPoints1D([1, 2, 3, 4], [1, 1, 1, 1]))
+        with pytest.raises(ValueError, match="position must be an integer, got 0.5"):
+            range_weighted_median(idx, 0.5, 2.7)
+        for query in (idx.wsum, idx.wsum_lr, idx.wsum_rl):
+            with pytest.raises(ValueError, match="got 2.0"):
+                query(0, 2.0)
+
+    def test_numpy_int_positions(self):
+        idx = MedianIndex(WeightedPoints1D([1, 2, 3, 10], [1, 1, 1, 1]))
+        assert range_weighted_median(idx, np.int64(0), np.int32(2)) == (1, 2)
+        assert (idx.wsum(np.int8(0), np.uint16(2)), idx.wsum_lr(np.int64(0), 2)) == (3, 3)
+        assert idx.wsum_rl(0, np.int64(2)) == 3
+
 
 class TestFloatInstances:
     """Float coordinates/weights compare within absolute tolerance 1e-9."""

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +55,38 @@ class TestGrouping:
         with pytest.raises(ValueError, match="group ids"):
             DimensionGrouping([0, 2], [0, 1], [1, 1])
 
+    @pytest.mark.parametrize(
+        "group_of, base_dim, stretch, match",
+        [
+            ([0, 0], [0], [1], "stretch must list one factor per dimension"),
+            ([0, 0, 1], [0], [1, 1, 1], "group ids must cover 0..0 exactly"),
+            ([0], [1], [1], "base dimension 1 is not a member of group 0"),
+            ([0, 0], [0], [1, 0], "stretch factors must be >= 1"),
+        ],
+    )
+    def test_malformed_rejected(self, group_of, base_dim, stretch, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            DimensionGrouping(group_of, base_dim, stretch)
+
+    @pytest.mark.parametrize(
+        "group_of, base_dim, stretch, match",
+        [
+            ([0], [0], [1.5], "stretch factor must be an integer, got 1.5"),
+            ([0, 0], [0], [1, 2.0], "stretch factor must be an integer, got 2.0"),
+            ([0.0], [0], [1], "group id must be an integer, got 0.0"),
+            ([0], [np.float64(0)], [1], "base dimension must be an integer, got np.float64"),
+            ([0], [0], ["1"], "stretch factor must be an integer, got '1'"),
+        ],
+    )
+    def test_non_integers_rejected(self, group_of, base_dim, stretch, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            DimensionGrouping(group_of, base_dim, stretch)
+
+    def test_numpy_ints_accepted(self):
+        g = DimensionGrouping(np.array([0, 0]), [np.int8(0)], np.array([1, 3], dtype=np.uint16))
+        assert (g.group_of, g.base_dim, g.stretch) == ((0, 0), (0,), (1, 3))
+        assert all(type(v) is int for v in g.group_of + g.base_dim + g.stretch)
+
 
 class TestBuild:
     def test_1d_block_entries(self):
@@ -73,10 +106,37 @@ class TestBuild:
         table = SparseTable(make_cube([2, 2], [1, 5, 3, 2]))
         assert table.block_value((0, 0), (1, 1)) == 1
 
+    @pytest.mark.parametrize(
+        "anchor, kt, error, match",
+        [
+            ((0,), (0, 0), ValueError, "invalid level tuple (0, 0)"),
+            ((0,), (3,), ValueError, "invalid level tuple (3,)"),
+            ((4,), (1,), IndexError, "anchor 4 out of range for level (1,) in dimension 0"),
+        ],
+    )
+    def test_block_value_rejects(self, anchor, kt, error, match):
+        table = SparseTable(make_cube([5], [3, 1, 4, 1, 5]))
+        with pytest.raises(error, match=re.escape(match)):
+            table.block_value(anchor, kt)
+
     def test_extent_smaller_than_stretch(self):
         g = DimensionGrouping([0, 0], [0], [1, 4])
         with pytest.raises(ValueError, match="stretch"):
             SparseTable(make_cube([2, 2], [1, 2, 3, 4]), g)
+
+    @pytest.mark.parametrize(
+        "grouping, mode, match",
+        [
+            (None, "sum", "mode must be 'min' or 'max', got 'sum'"),
+            (DimensionGrouping.singleton(3), "min", "grouping covers 3 dimensions, cube has 2"),
+        ],
+    )
+    def test_bad_arguments_rejected(self, grouping, mode, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            SparseTable(make_cube([2, 2], [1, 2, 3, 4]), grouping, mode)
+
+    def test_no_lookups_before_a_query(self):
+        assert SparseTable(make_cube([2, 2], [1, 2, 3, 4])).lookups_last_query == 0
 
 
 class TestQuery:
@@ -185,6 +245,17 @@ class TestBaseCase:
         g = DimensionGrouping([0, 0], [0], [1, 2])
         with pytest.raises(IndexError):
             grouped_base_case(cube, g, (0, 3))
+
+    @pytest.mark.parametrize(
+        "grouping, mode, match",
+        [
+            (DimensionGrouping.singleton(2), "sum", "mode must be 'min' or 'max', got 'sum'"),
+            (DimensionGrouping.singleton(1), "min", "grouping does not match cube dimensionality"),
+        ],
+    )
+    def test_bad_arguments_rejected(self, grouping, mode, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            grouped_base_case(make_cube([2, 2], [1, 2, 3, 4]), grouping, (0, 0), mode)
 
     def test_recursive_path_matches_scan(self):
         """Stretch (1, 2) on random 2-D cubes, against brute force."""
@@ -314,6 +385,31 @@ class TestQueryMany:
         table = SparseTable(make_cube([2, 3], [5, 1, 4, 2, 6, 3]))
         with pytest.raises(error):
             table.query_many(lo, hi)
+
+    @pytest.mark.parametrize("values", [[5, 1, 4, 2, 6, 3], [0.5, -1.0, 4.0, 2.0, 6.0, 3.0]])
+    def test_empty_batch(self, values):
+        cube = make_cube([2, 3], values)
+        table = SparseTable(cube, mode="max")
+        table.query(QueryBox([0, 0], [1, 2]))
+        got = table.query_many(np.zeros((0, 2)), np.zeros((0, 2)))
+        assert got.shape == (0,) and got.dtype == cube.values.dtype
+        assert table.lookups_last_query == 0
+
+    @pytest.mark.parametrize(
+        "dims, grouping",
+        [([9, 6], None), ([4, 12, 5], DimensionGrouping([0, 0, 1], [0, 2], [1, 3, 1]))],
+        ids=["singleton", "grouped"],
+    )
+    def test_levels_share_one_buffer(self, dims, grouping):
+        cube = make_cube(dims, [(i * 37) % 11 for i in range(math.prod(dims))])
+        table = SparseTable(cube, grouping)
+        levels = list(table.tables.values())
+        buffer = levels[0].base
+        assert buffer.ndim == 1 and all(level.base is buffer for level in levels)
+        assert sum(level.nbytes for level in levels) == buffer.nbytes
+        offsets = [level.__array_interface__["data"][0] - buffer.__array_interface__["data"][0]
+                   for level in levels]
+        assert offsets == [base * buffer.itemsize for base in table._bases]
 
 
 class TestRankSpace:
